@@ -1,4 +1,4 @@
-"""Pure-numpy spectrum kernel: fallback when the compiled module is absent."""
+"""Spectrum kernel: the per-grid-point sinc sum over the subcarriers."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ _CHUNK = 8192
 
 
 def spectrum_power(freqs: np.ndarray, amps: np.ndarray, sub_freqs: np.ndarray,
-                   pulse_t: float, num_threads: int = 1) -> np.ndarray:
+                   pulse_t: float) -> np.ndarray:
     """|sum_n amps[n] * D(f - sub_freqs[n])|^2 on the frequency grid.
 
     D(v) = T * sinc(v T) * exp(-1j pi v T) is the transform of the
     duration-T rectangular pulse.  Evaluated in frequency chunks to bound
-    the broadcast temporaries; num_threads is accepted for interface
-    parity and ignored (numpy already fans out across the chunk).
+    the broadcast temporaries.
     """
     out = np.empty(len(freqs), dtype=np.float64)
     for start in range(0, len(freqs), _CHUNK):

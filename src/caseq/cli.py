@@ -12,7 +12,6 @@ import argparse
 import csv
 import datetime
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,15 +21,6 @@ from .factorlab import DomainError, InfeasibleError
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CA_SEQFORGE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _parse_alpha(text: str) -> Fraction:
@@ -166,11 +156,9 @@ def _load_family(path: str) -> seqforge.Family:
 
 def cmd_spectrum(args) -> int:
     fam = _load_family(args.family)
-    threads = _threads(args)
     outputs = []
     if args.slope:
-        spec = spectra.compute_spectrum(fam.sequences[0], args.span,
-                                        args.points, threads)
+        spec = spectra.compute_spectrum(fam.sequences[0], args.span, args.points)
         slope = spectra.estimate_decay_order(spec, (args.fit_lo, args.fit_hi))
         print(f"kind={fam.kind} N={fam.n} fitted_slope={slope:.3f}")
         if args.out:
@@ -181,7 +169,7 @@ def cmd_spectrum(args) -> int:
     if args.eta:
         bandwidths = [float(b) for b in args.bandwidths.split(",")]
         rows = spectra.out_of_band_fraction(fam, bandwidths, args.span,
-                                            args.points, threads)
+                                            args.points)
         for b, eta in rows:
             print(f"B={b:g} eta_db={eta:.3f}")
         if args.out:
@@ -234,9 +222,6 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="caseq",
         description="Constant-amplitude sequence families for OFDM preambles")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: all cores, or "
-                         "CA_SEQFORGE_THREADS)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("factorize", help="factor-set search at a degeneracy level")

@@ -655,6 +655,8 @@ def family_from_dict(data: dict) -> Family:
                 "nu_vectors": nu_vectors}
         if theta is not None:
             meta["theta_degrees"] = data["theta_degrees"]
+        if "no_sd_gain" in data:
+            meta["no_sd_gain"] = data["no_sd_gain"]
         return Family(sequences=seqs, kind=kind, cfg=cfg,
                       sd_order_bound=int(data["sd_order_bound"]),
                       family_csd=data.get("family_csd"), meta=meta)

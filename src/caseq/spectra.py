@@ -48,7 +48,7 @@ def _subcarrier_amps(seq: CaSequence) -> np.ndarray:
 
 
 def compute_spectrum(seq: CaSequence, grid_span: float = 64.0,
-                     grid_points: int = 2 ** 20, num_threads: int = 1) -> SpectrumResult:
+                     grid_points: int = 2 ** 20) -> SpectrumResult:
     """Analytic baseband power spectrum on a symmetric grid.
 
     grid_span is in units of the signal bandwidth gamma*N/T_d; the grid is
@@ -67,10 +67,8 @@ def compute_spectrum(seq: CaSequence, grid_span: float = 64.0,
     center = 0.5 * (sub_freqs[0] + sub_freqs[-1])
     norm = np.linspace(-grid_span / 2.0, grid_span / 2.0, grid_points)
     freqs = center + norm * bandwidth
-    amps = np.ascontiguousarray(_subcarrier_amps(seq))
-    power = spectrum_power(np.ascontiguousarray(freqs), amps,
-                           np.ascontiguousarray(sub_freqs),
-                           cfg.pulse_duration, num_threads)
+    power = spectrum_power(freqs, _subcarrier_amps(seq), sub_freqs,
+                           cfg.pulse_duration)
     total = float(np.trapezoid(power, norm))
     return SpectrumResult(freqs=norm, power=power, total_power=total, meta={
         "n": seq.n, "gamma": cfg.gamma, "alpha": str(cfg.alpha),
@@ -111,47 +109,50 @@ def estimate_decay_order(spec: SpectrumResult,
     return float(slope)
 
 
-def _tail_bound(spec: SpectrumResult) -> float:
-    """Integral of the out-of-grid tail, from a power-law fit at the edge.
+def _exact_total_power(seq: CaSequence) -> float:
+    """Integral of the power spectrum over all frequencies (Parseval).
 
-    Fits the lobe envelope over the last octave of the grid; for a decay
-    f^-s the tail beyond the edge f_e integrates to envelope(f_e)*f_e/(s-1).
+    Equals a^H K a over the subcarrier amplitudes a, with
+    K[n, m] = int_0^T exp(2j pi (x_m - x_n) t) dt and x_n = n gamma, divided
+    by the bandwidth gamma*N so it is in the normalized-frequency units of
+    SpectrumResult.total_power.  exp(2j pi (x_m - x_n) T) reduces exactly to
+    exp(2j pi (m - n) alpha gamma), evaluated from the exact fraction.
     """
-    f, p = lobe_maxima(spec)
-    edge = spec.freqs[-1]
-    sel = (f >= edge / 2) & (p > 0)
-    if np.count_nonzero(sel) < 4:
-        return 0.0
-    slope, level = np.polyfit(np.log10(f[sel]), np.log10(p[sel]), 1)
-    s = -slope
-    if s <= 1.001:
-        s = 1.001
-    env_edge = 10.0 ** (level + slope * math.log10(edge))
-    # both spectrum halves contribute a tail
-    return 2.0 * env_edge * edge / (s - 1.0)
+    cfg = seq.cfg
+    ag = cfg.alpha_gamma
+    pulse_t = cfg.pulse_duration
+    idx = np.arange(seq.n, dtype=np.int64)
+    lag = idx[None, :] - idx[:, None]
+    frac = (lag * ag.numerator) % ag.denominator
+    delta = lag * float(cfg.gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(lag == 0, pulse_t,
+                     (np.exp(2j * np.pi * frac / ag.denominator) - 1.0)
+                     / (2j * np.pi * delta))
+    a = _subcarrier_amps(seq)
+    return float(np.real(a.conj() @ k @ a)) / (cfg.gamma * seq.n)
 
 
 def out_of_band_fraction(family: Family, bandwidths: list[float],
-                         grid_span: float = 16.0, grid_points: int = 2 ** 16,
-                         num_threads: int = 1) -> list[tuple[float, float]]:
+                         grid_span: float = 16.0,
+                         grid_points: int = 2 ** 16) -> list[tuple[float, float]]:
     """Family-average out-of-band power fraction, in dB, per bandwidth.
 
-    For each normalized bandwidth B, the fraction integrates the spectrum
-    outside |f| > B/2 (trapezoid over the grid plus a fitted power-law
-    tail beyond the edge) over the total.  Returned as (B, eta_db) rows.
+    For each normalized bandwidth B, the fraction is the exact total power
+    minus the trapezoid integral of the spectrum over |f| <= B/2, over the
+    exact total.  Returned as (B, eta_db) rows.
     """
     if max(bandwidths) > grid_span:
         raise ResolutionError("bandwidth request exceeds the grid span")
-    specs = [compute_spectrum(s, grid_span, grid_points, num_threads)
+    specs = [compute_spectrum(s, grid_span, grid_points)
              for s in family.sequences]
-    tails = [_tail_bound(sp) for sp in specs]
+    totals = [_exact_total_power(s) for s in family.sequences]
     rows = []
     for b in bandwidths:
         fracs = []
-        for sp, tail in zip(specs, tails):
+        for sp, total in zip(specs, totals):
             inb = np.abs(sp.freqs) <= b / 2.0
             inside = float(np.trapezoid(np.where(inb, sp.power, 0.0), sp.freqs))
-            total = sp.total_power + tail
             fracs.append(max(total - inside, 0.0) / total)
         rows.append((b, 10.0 * math.log10(max(np.mean(fracs), 1e-300))))
     return rows

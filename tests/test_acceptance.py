@@ -280,11 +280,9 @@ def test_criterion_7_enumeration_counts():
 
 def test_criterion_8_spectral_slopes():
     start = time.time()
-    threads = 4
     cfg_zc = sf.WaveformConfig(139, **CONDITION_B)
     spec = sp.compute_spectrum(sf.build_zc_sequence(1, 139, cfg_zc),
-                               grid_span=64, grid_points=2 ** 20,
-                               num_threads=threads)
+                               grid_span=64, grid_points=2 ** 20)
     zc_slope = sp.estimate_decay_order(spec, (2.0, 24.0))
     assert abs(zc_slope - (-2.0)) <= 0.3, zc_slope
 
@@ -294,7 +292,7 @@ def test_criterion_8_spectral_slopes():
         kind = "pma" if kappa == 0 else "dpma"
         fam = sf.build_family(kind, cfg48, kappa=kappa)
         spec = sp.compute_spectrum(fam.sequences[0], grid_span=64,
-                                   grid_points=2 ** 20, num_threads=threads)
+                                   grid_points=2 ** 20)
         slopes[kappa] = sp.estimate_decay_order(spec, (2.0, 24.0))
     assert slopes[0] <= -10.0, slopes
     for kappa in (0, 1, 2):

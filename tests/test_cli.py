@@ -92,7 +92,7 @@ class TestVerify:
 class TestSpectrum:
     def test_slope_command(self, family48, capsys, tmp_path):
         out = tmp_path / "spec.csv"
-        assert run(["--threads", "2", "spectrum", "--family", str(family48),
+        assert run(["spectrum", "--family", str(family48),
                     "--slope", "--span", "32", "--points", str(2 ** 16),
                     "--fit-lo", "2", "--fit-hi", "12", "--out", str(out)]) == 0
         msg = capsys.readouterr().out

@@ -312,6 +312,7 @@ class TestFamilyJson:
         blob = json.dumps(sf.family_to_dict(fam))
         back = sf.family_from_dict(json.loads(blob))
         assert len(back) == len(fam)
+        assert sf.family_to_dict(back) == sf.family_to_dict(fam)
         for a, b in zip(fam.sequences, back.sequences):
             assert np.array_equal(a.chi, b.chi)
 
@@ -321,12 +322,14 @@ class TestFamilyJson:
         blob = json.dumps(sf.family_to_dict(fam))
         back = sf.family_from_dict(json.loads(blob))
         assert len(back) == len(fam) == 60
+        assert sf.family_to_dict(back) == sf.family_to_dict(fam)
         for a, b in zip(fam.sequences, back.sequences):
             assert np.array_equal(a.chi, b.chi)
 
     def test_baseline_round_trip(self, cfg_b839):
         fam = sf.build_family("zc", cfg_b839, count=10, min_csd=26)
         back = sf.family_from_dict(json.loads(json.dumps(sf.family_to_dict(fam))))
+        assert sf.family_to_dict(back) == sf.family_to_dict(fam)
         for a, b in zip(fam.sequences, back.sequences):
             assert np.array_equal(a.chi, b.chi)
 

@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from caseq import factorlab as fl
 from caseq import seqforge as sf
 from caseq import spectra as sp
-from caseq._kernels import spectrum_power, spectrum_power_fallback
+from caseq._kernels import spectrum_power
 from caseq.seqforge import CaSequence
 
 
@@ -57,24 +58,44 @@ class TestComputeSpectrum:
 
 class TestKernels:
     def test_compiled_and_fallback_agree(self, cfg_a48):
+        """Chunked vectorised kernel against a per-grid-point loop."""
         fam = sf.build_family("pma", cfg_a48)
         seq = fam.sequences[0]
         sub = np.arange(48.0) * cfg_a48.gamma
         f = np.linspace(sub.mean() - 200, sub.mean() + 200, 4096)
+        t = cfg_a48.pulse_duration
         amps = np.ascontiguousarray(seq.chi / math.sqrt(48))
-        a = spectrum_power(f, amps, sub, cfg_a48.pulse_duration, 2)
-        b = spectrum_power_fallback(f, amps, sub, cfg_a48.pulse_duration)
+        a = spectrum_power(f, amps, sub, t)
+        b = np.array([abs(np.sum(amps * t * np.sinc((x - sub) * t)
+                                 * np.exp(-1j * np.pi * (x - sub) * t))) ** 2
+                      for x in f])
         scale = max(a.max(), b.max())
         assert np.max(np.abs(a - b)) <= 1e-9 * scale
 
-    def test_thread_count_does_not_change_values(self, cfg_a48):
-        fam = sf.build_family("pma", cfg_a48)
-        seq = fam.sequences[0]
-        one = sp.compute_spectrum(seq, grid_span=8, grid_points=4096,
-                                  num_threads=1)
-        four = sp.compute_spectrum(seq, grid_span=8, grid_points=4096,
-                                   num_threads=4)
-        assert np.array_equal(one.power, four.power)
+    def test_matches_mpmath_oracle(self):
+        """Sinc sum against sum_n a_n (1 - exp(-2j pi v T)) / (2j pi v) in mpmath."""
+        rng = np.random.default_rng(7)
+        n, gamma, pulse_t = 48, 2, 1.5
+        amps = np.exp(2j * np.pi * rng.random(n)) / math.sqrt(n)
+        sub = np.arange(n, dtype=np.float64) * gamma
+        span = sub[-1] - sub[0]
+        on_subcarrier = sub[17:18]
+        main_lobe = sub[0] + span * rng.random(4)
+        far_tail = np.concatenate([sub[-1] + span * rng.uniform(20.0, 200.0, 3),
+                                   sub[0] - span * rng.uniform(20.0, 200.0, 3)])
+        freqs = np.concatenate([on_subcarrier, main_lobe, far_tail])
+        got = spectrum_power(freqs, amps, sub, pulse_t)
+        peak = spectrum_power(np.linspace(sub[0], sub[-1], 4096), amps, sub,
+                              pulse_t).max()
+        with mpmath.workdps(30):
+            t = mpmath.mpf(pulse_t)
+            for f, value in zip(freqs, got):
+                acc = mpmath.mpc(0)
+                for a, x in zip(amps, sub):
+                    v = mpmath.mpf(f) - mpmath.mpf(x)
+                    d = t if v == 0 else (1 - mpmath.expjpi(-2 * v * t)) / (2j * mpmath.pi * v)
+                    acc += mpmath.mpc(a.real, a.imag) * d
+                assert abs(value - float(abs(acc) ** 2)) <= 1e-9 * peak
 
 
 class TestDecaySlopes:
@@ -126,6 +147,28 @@ class TestOutOfBand:
         eta_pma = sp.out_of_band_fraction(pma, [1.5], 16, 2 ** 14)[0][1]
         eta_zc = sp.out_of_band_fraction(zc, [1.5], 16, 2 ** 14)[0][1]
         assert eta_pma < eta_zc - 20  # tens of dB more compact
+
+    def test_single_tone_matches_sine_integral(self):
+        """eta of |T sinc(fT)|^2 outside [y1, y2] in y = fT units is
+        1 - (S(y2) - S(y1)), S(y) = (Si(2 pi y) - sin^2(pi y) / (pi y)) / pi."""
+        cfg = sf.WaveformConfig(4, gamma=2, alpha=Fraction(1, 2))
+        fam = sf.Family(sequences=[_single_subcarrier(cfg)], kind="tone",
+                        cfg=cfg, sd_order_bound=0)
+        bandwidths = [1.0, 2.0, 4.0, 8.0]
+        rows = sp.out_of_band_fraction(fam, bandwidths, grid_span=16,
+                                       grid_points=2 ** 14)
+        t = cfg.pulse_duration
+        bandwidth = cfg.gamma * cfg.n_seq
+        center = 0.5 * (cfg.n_seq - 1) * cfg.gamma
+
+        def s(y):
+            z = mpmath.pi * y
+            return (mpmath.si(2 * z) - mpmath.sin(z) ** 2 / z) / mpmath.pi
+
+        for b, eta_db in rows:
+            inside = s((center + b * bandwidth / 2) * t) - s((center - b * bandwidth / 2) * t)
+            exact_db = 10.0 * math.log10(float(1 - inside))
+            assert abs(eta_db - exact_db) < 0.02, (b, eta_db, exact_db)
 
     def test_bandwidth_beyond_grid_rejected(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
