@@ -61,23 +61,8 @@ def _write_manifest(args, outputs: list[Path]):
     _write_json(outputs[0].with_suffix(outputs[0].suffix + ".manifest.json"), manifest)
 
 
-def _factor_set_for(n: int, kappa: int, mode: str) -> factorlab.FactorSet:
-    pf = factorlab.prime_factorize(n)
-    if kappa == 0:
-        return factorlab.FactorSet(n, pf.primes, kappa=0)
-    if mode == "near":
-        return factorlab.near_proper_factorization(pf, kappa)
-    if mode == "exhaustive":
-        return factorlab.exclusive_search_proper(pf, kappa)
-    if kappa == 1:
-        return factorlab.proper_factorization_kappa1(pf)
-    if kappa == 2 and pf.omega > 3:
-        return factorlab.proper_factorization_kappa2(pf)
-    return factorlab.exclusive_search_proper(pf, kappa)
-
-
 def cmd_factorize(args) -> int:
-    fs = _factor_set_for(args.n, args.kappa, args.mode)
+    fs = factorlab.factor_set(args.n, args.kappa, args.mode)
     info = {
         "n": args.n,
         "kappa": args.kappa,
@@ -108,7 +93,10 @@ def cmd_factorize(args) -> int:
 def _decomp_from_file(path: str, n: int) -> factorlab.Decomposition:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return factorlab.Decomposition.from_parts(n, data["parts"])
+    parts = data.get("parts") if isinstance(data, dict) else None
+    if not isinstance(parts, list) or not all(isinstance(p, int) for p in parts):
+        raise DomainError(f"{path}: need {{\"parts\": [int, ...]}}")
+    return factorlab.Decomposition.from_parts(n, parts)
 
 
 def _build_family(args) -> seqforge.Family:
@@ -227,8 +215,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="factor-set search at a degeneracy level")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kappa", type=int, default=0)
-    p.add_argument("--mode", choices=["proper", "near", "exhaustive"],
-                   default="proper")
+    p.add_argument("--mode", choices=factorlab.FACTOR_SET_MODES, default="proper")
     p.add_argument("--min-csd", dest="min_csd", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)

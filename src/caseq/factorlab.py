@@ -353,6 +353,31 @@ def near_proper_factorization(pf: PrimeFactorization, kappa: int) -> FactorSet:
     return FactorSet(pf.n, tuple(sorted(current)), kappa=kappa)
 
 
+FACTOR_SET_MODES = ("proper", "near", "exhaustive")
+
+
+def factor_set(n: int, kappa: int = 0, mode: str = "proper") -> FactorSet:
+    """The factor set of n at degeneracy level kappa.
+
+    kappa = 0 gives the primes.  Mode "near" takes the near-proper
+    recursion; "proper" takes the closed forms where they hold (kappa = 1
+    with omega > 2, kappa = 2 with omega > 3).  Every other case runs the
+    exhaustive search, which rejects kappa outside [1, omega - 1].
+    """
+    if mode not in FACTOR_SET_MODES:
+        raise DomainError(f"unknown factor-set mode {mode!r}")
+    pf = prime_factorize(n)
+    if kappa == 0:
+        return FactorSet(n, pf.primes, kappa=0)
+    if mode == "near":
+        return near_proper_factorization(pf, kappa)
+    if mode == "proper" and kappa == 1 and pf.omega > 2:
+        return proper_factorization_kappa1(pf)
+    if mode == "proper" and kappa == 2 and pf.omega > 3:
+        return proper_factorization_kappa2(pf)
+    return exclusive_search_proper(pf, kappa)
+
+
 def mpo_value(n: int) -> int:
     """Largest t such that n is a sum of integers >= 2, each with omega >= t.
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -143,12 +145,12 @@ def _phase_numerators(digits: list[np.ndarray], bases: Sequence[int],
                       nu: Sequence[int], weights: Sequence[int],
                       cfg: WaveformConfig) -> tuple[np.ndarray, int]:
     """Integer numerators of phase/(2*pi) over a common denominator."""
-    ag = cfg.alpha_gamma
-    denom = math.lcm(*bases, ag.denominator if cfg.condition == "B" else 1)
+    ag, twisted = cfg.alpha_gamma, cfg.condition == "B"
+    denom = math.lcm(*bases, ag.denominator if twisted else 1)
     numer = np.zeros(len(digits[0]), dtype=np.int64)
     for m, (l_m, a_m, v_m) in enumerate(zip(digits, bases, nu)):
         numer += (v_m * (denom // a_m)) * l_m
-        if cfg.condition == "B" and m % 2 == 1:
+        if twisted and m % 2 == 1:
             numer += (ag.numerator * (denom // ag.denominator) * weights[m]) * l_m
     return numer, denom
 
@@ -170,6 +172,13 @@ def _build_chi(factors: Sequence[int], nu: Sequence[int], weights: Sequence[int]
     return _unit_phases(numer, denom)
 
 
+def _g_chi(factors: Sequence[int], nu: Sequence[int],
+           cfg: WaveformConfig) -> np.ndarray:
+    """chi over descending factors, digit weights phi_0 = 1, phi_m = prod(factors[:m])."""
+    weights = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
+    return _build_chi(factors, nu, weights, cfg, math.prod(factors))
+
+
 def build_g_sequence(factors: Sequence[int], nu: Sequence[int],
                      cfg: WaveformConfig) -> CaSequence:
     """Phase-assigned sequence over descending factors of N.
@@ -185,11 +194,7 @@ def build_g_sequence(factors: Sequence[int], nu: Sequence[int],
     n = math.prod(factors)
     if n != cfg.n_seq:
         raise DomainError(f"factors multiply to {n}, config says {cfg.n_seq}")
-    weights = [1]
-    for a in factors[:-1]:
-        weights.append(weights[-1] * a)
-    chi = _build_chi(factors, nu, weights, cfg, n)
-    return CaSequence(chi, cfg, meta={
+    return CaSequence(_g_chi(factors, nu, cfg), cfg, meta={
         "kind": "g", "factors": list(factors), "nu": list(nu)})
 
 
@@ -235,10 +240,7 @@ def build_hat_sequence(decomp: Decomposition,
         factors = tuple(sorted(factors, reverse=True))
         if math.prod(factors) != part:
             raise DomainError(f"part {part} != product of {factors}")
-        weights = [1]
-        for a in factors[:-1]:
-            weights.append(weights[-1] * a)
-        chi_part = _build_chi(factors, nu, weights, cfg, part)
+        chi_part = _g_chi(factors, nu, cfg)
         if rotation is not None:
             chi_part = chi_part * np.exp(1j * rotation[rho])
         pieces.append(chi_part)
@@ -298,26 +300,6 @@ def solve_rotation(parts: Sequence[int], epsilon: float = 1e-9,
     return RotationSolution(tuple(theta), radius, tuple(arcs), float(residual), epsilon)
 
 
-def _per_part_factor_sets(decomp: Decomposition, kappa: int) -> list[FactorSet]:
-    """Proper level-(omega(part)-kappa) factor set for every part."""
-    out = []
-    for part in decomp.parts:
-        pf = prime_factorize(part)
-        if kappa == 0:
-            fs = FactorSet(part, pf.primes, kappa=0)
-        elif kappa >= pf.omega:
-            raise DomainError(
-                f"kappa={kappa} leaves no factor for part {part} (omega={pf.omega})")
-        elif kappa == 1 and pf.omega > 2:
-            fs = factorlab.proper_factorization_kappa1(pf)
-        elif kappa == 2 and pf.omega > 3:
-            fs = factorlab.proper_factorization_kappa2(pf)
-        else:
-            fs = factorlab.exclusive_search_proper(pf, kappa)
-        out.append(fs)
-    return out
-
-
 def _sd_bound(level: int, cfg: WaveformConfig) -> int:
     return level if cfg.condition == "A" else level // 2
 
@@ -374,25 +356,16 @@ def build_family(kind: str, cfg: WaveformConfig, kappa: int = 0,
         raise DomainError(f"unknown family kind {kind!r}")
 
     if kind == "pma":
-        pf = prime_factorize(n)
-        return _build_flat_family(kind, FactorSet(n, pf.primes, kappa=0), cfg)
+        return _build_flat_family(kind, factorlab.factor_set(n), cfg)
 
     if kind in ("dpma", "near_dpma"):
         pf = prime_factorize(n)
         if pf.omega <= 2:
             raise DomainError(f"degenerate families need omega > 2, got {pf.omega}")
-        if kind == "dpma":
-            if not 1 <= kappa <= pf.omega - 1:
-                raise DomainError(f"kappa must be in [1, {pf.omega - 1}]")
-            if kappa == 1:
-                fs = factorlab.proper_factorization_kappa1(pf)
-            elif kappa == 2 and pf.omega > 3:
-                fs = factorlab.proper_factorization_kappa2(pf)
-            else:
-                fs = factorlab.exclusive_search_proper(pf, kappa)
-        else:
-            fs = factorlab.near_proper_factorization(pf, kappa)
-        return _build_flat_family(kind, fs, cfg)
+        if not 1 <= kappa <= pf.omega - 1:
+            raise DomainError(f"kappa must be in [1, {pf.omega - 1}]")
+        mode = "near" if kind == "near_dpma" else "proper"
+        return _build_flat_family(kind, factorlab.factor_set(n, kappa, mode), cfg)
 
     if kind in HAT_KINDS:
         augmented = kind in ("apma", "adpma")
@@ -414,7 +387,7 @@ def build_family(kind: str, cfg: WaveformConfig, kappa: int = 0,
             raise DomainError(
                 f"kappa must be in [1, {decomp.min_omega - 1}] for parts "
                 f"{decomp.parts}")
-        factor_sets = _per_part_factor_sets(decomp, part_kappa)
+        factor_sets = [factorlab.factor_set(p, part_kappa) for p in decomp.parts]
         base_kind = "hat_dpma" if part_kappa else "hat_pma"
         fam = _build_hat_family(base_kind, decomp, factor_sets, cfg, part_kappa)
         if augmented:
@@ -450,8 +423,8 @@ def augment_family(base: Family) -> Family:
             f"decomposition {parts} admits no rotation: need >= 3 parts, "
             f"max part below half the total")
     sol = solve_rotation(parts, epsilon=1e-9)
-    # store degrees once and rebuild phases from them so that a family
-    # reloaded from JSON metadata reproduces the same bits
+    # the phases come from the exported degrees, so theta_degrees alone
+    # reproduces the rotated members bit for bit
     theta_deg = [math.degrees(t) for t in sol.theta]
     theta = [math.radians(d) for d in theta_deg]
     decomp = Decomposition(base.n, parts, mpo=0)
@@ -618,53 +591,51 @@ def family_to_dict(family: Family, include_sequences: bool = False) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The fields a family is rebuilt from, with their JSON type checks; every
+#: other field of a family JSON follows from these.
+_RECIPE_CHECKS = {
+    "kind": lambda v: isinstance(v, str),
+    "n": _is_int,
+    "gamma": _is_int,
+    "alpha": lambda v: isinstance(v, str) and re.fullmatch(r"\d+/[1-9]\d*", v),
+    "kappa": _is_int,
+    "decomposition": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "size": _is_int,
+    "min_csd": _is_int,
+    "roots": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+
+
 def family_from_dict(data: dict) -> Family:
-    """Rebuild a family from its exported description, bit-exactly."""
+    """Rebuild a family from the recipe in its exported description.
+
+    The recipe fields (_RECIPE_CHECKS) go through build_family; every other
+    field, and the sequence values when present, must equal what
+    family_to_dict exports for the rebuild, so a file edited away from its
+    recipe is refused rather than trusted.
+    """
+    if not isinstance(data, dict):
+        raise DomainError(f"family JSON must be an object, not {type(data).__name__}")
+    bad = [k for k, ok in _RECIPE_CHECKS.items()
+           if (not ok(data[k]) if k in data else k in ("kind", "n", "gamma", "alpha"))]
+    if bad:
+        raise DomainError(f"family JSON has missing or malformed fields {bad}")
     num, den = data["alpha"].split("/")
-    cfg = WaveformConfig(n_seq=int(data["n"]), gamma=int(data["gamma"]),
+    cfg = WaveformConfig(n_seq=data["n"], gamma=data["gamma"],
                          alpha=Fraction(int(num), int(den)))
-    kind = data["kind"]
-    if kind in ("pma", "dpma", "near_dpma"):
-        factors = tuple(sorted(data["factor_set"], reverse=True))
-        seqs = [build_g_sequence(factors, nu, cfg) for nu in data["nu_vectors"]]
-        fam = Family(sequences=seqs, kind=kind, cfg=cfg,
-                     sd_order_bound=int(data["sd_order_bound"]),
-                     family_csd=data.get("family_csd"),
-                     meta={"factor_set": list(factors),
-                           "kappa": data.get("kappa", 0),
-                           "nu_vectors": data["nu_vectors"]})
-        return fam
-    if kind in HAT_KINDS:
-        parts = tuple(data["decomposition"])
-        decomp = Decomposition(int(data["n"]), parts, mpo=0)
-        theta = None
-        if data.get("theta_degrees") is not None:
-            theta = [math.radians(d) for d in data["theta_degrees"]]
-        seqs = []
-        nu_vectors = data["nu_vectors"]
-        base_count = len(nu_vectors)
-        for nu_set in nu_vectors:
-            seqs.append(build_hat_sequence(decomp, data["factor_sets"], nu_set, cfg))
-        if kind in ("apma", "adpma"):
-            for nu_set in nu_vectors:
-                seqs.append(build_hat_sequence(decomp, data["factor_sets"],
-                                               nu_set, cfg, rotation=theta))
-        meta = {"decomposition": list(parts),
-                "factor_sets": data["factor_sets"],
-                "kappa": data.get("kappa", 0),
-                "nu_vectors": nu_vectors}
-        if theta is not None:
-            meta["theta_degrees"] = data["theta_degrees"]
-        if "no_sd_gain" in data:
-            meta["no_sd_gain"] = data["no_sd_gain"]
-        return Family(sequences=seqs, kind=kind, cfg=cfg,
-                      sd_order_bound=int(data["sd_order_bound"]),
-                      family_csd=data.get("family_csd"), meta=meta)
-    if kind == "zc":
-        fam = build_multiroot_zc_family(cfg, int(data["size"]),
-                                        int(data["min_csd"]),
-                                        tuple(data["roots"]))
-        return fam
-    if kind == "pn":
-        return build_pn_family(cfg, int(data["size"]), int(data["min_csd"]))
-    raise DomainError(f"unknown family kind {kind!r}")
+    parts = data.get("decomposition")
+    family = build_family(
+        data["kind"], cfg, kappa=data.get("kappa", 0),
+        decomp=None if parts is None else Decomposition(cfg.n_seq, tuple(parts)),
+        count=data.get("size"), min_csd=data.get("min_csd"),
+        roots=tuple(data.get("roots", (1, 2))))
+    rebuilt = family_to_dict(family, include_sequences="sequences" in data)
+    differ = sorted(k for k in rebuilt.keys() | data.keys()
+                    if k not in rebuilt or k not in data or rebuilt[k] != data[k])
+    if differ:
+        raise DomainError(f"family JSON does not match its recipe in {differ}")
+    return family

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,10 @@ class TestFactorize:
 
     def test_invalid_kappa_usage_error(self, capsys):
         assert run(["factorize", "--n", "7", "--kappa", "1"]) == 2
+
+    def test_two_primes_merge_at_kappa_one(self, capsys):
+        assert run(["factorize", "--n", "15", "--kappa", "1"]) == 0
+        assert "factors={15}" in capsys.readouterr().out
 
     def test_json_mode(self, capsys):
         assert run(["factorize", "--n", "48", "--kappa", "3", "--json"]) == 0
@@ -146,3 +154,32 @@ class TestSimulate:
         bad.write_text("{""}")
         assert run(["simulate", "--family", str(bad), "--snr", "0",
                     "--trials", "10", "--seed", "1"]) == 2
+
+
+def _family_edit(**fields):
+    return lambda family: dict(json.loads(family.read_text()), **fields)
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["verify", "--family", "{bad}"], _family_edit(nu_vectors=5)),
+    (["verify", "--family", "{bad}"], lambda family: [1, 2]),
+    (["verify", "--family", "{bad}"], _family_edit(sd_order_bound=9)),
+    (["build", "--n", "139", "--kind", "hat_pma", "--decomp", "{bad}",
+      "--out", "{out}"], lambda family: {"parts": 5}),
+    (["simulate", "--family", "{family}", "--profile", "{bad}", "--snr", "0",
+      "--trials", "10"], lambda family: {"name": "x", "taps": 5}),
+], ids=["nu_vectors_int", "top_level_list", "sd_order_bound_edited",
+        "decomp_parts_int", "profile_taps_int"])
+def test_malformed_json_exits_2_with_one_line(family48, tmp_path, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content(family48)))
+    paths = {"bad": bad, "family": family48, "out": tmp_path / "out.json"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "caseq.cli", *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -212,11 +212,13 @@ class TestExclusiveSearch:
                       if 3 <= fl.prime_factorize(n).omega <= 6]
         for n in rng.sample(candidates, 60):
             pf = fl.prime_factorize(n)
-            assert (fl.exclusive_search_proper(pf, 1).family_size
-                    == fl.proper_factorization_kappa1(pf).family_size)
+            searched = fl.exclusive_search_proper(pf, 1).family_size
+            assert searched == fl.proper_factorization_kappa1(pf).family_size
+            assert searched == fl.factor_set(n, 1).family_size
             if pf.omega > 3:
-                assert (fl.exclusive_search_proper(pf, 2).family_size
-                        == fl.proper_factorization_kappa2(pf).family_size)
+                searched = fl.exclusive_search_proper(pf, 2).family_size
+                assert searched == fl.proper_factorization_kappa2(pf).family_size
+                assert searched == fl.factor_set(n, 2).family_size
 
     def test_kappa_out_of_range(self):
         pf = fl.prime_factorize(48)

@@ -302,39 +302,91 @@ class TestBaselines:
             sf.build_family("pn", cfg_b839, count=2000, min_csd=26)
 
 
+def _round_trip(fam, include_sequences=False):
+    """Export, reload through JSON text, and check the reload is bit-exact."""
+    data = sf.family_to_dict(fam, include_sequences=include_sequences)
+    back = sf.family_from_dict(json.loads(json.dumps(data)))
+    assert len(back) == len(fam)
+    assert sf.family_to_dict(back, include_sequences=include_sequences) == data
+    for a, b in zip(fam.sequences, back.sequences):
+        assert a.chi.tobytes() == b.chi.tobytes()
+    return back
+
+
+def _edit_nu(d):
+    d["nu_vectors"][0][0] += 1
+
+
+def _edit_factor_set(d):
+    d["factor_set"] = [8, 6]
+
+
+def _edit_value(d):
+    d["sequences"][0][0][0] += 1e-12
+
+
 class TestFamilyJson:
     @pytest.mark.parametrize("kind,kw", [
         ("pma", {}),
         ("dpma", {"kappa": 2}),
+        ("near_dpma", {"kappa": 3}),
     ])
     def test_flat_round_trip(self, cfg_a48, kind, kw):
-        fam = sf.build_family(kind, cfg_a48, **kw)
-        blob = json.dumps(sf.family_to_dict(fam))
-        back = sf.family_from_dict(json.loads(blob))
-        assert len(back) == len(fam)
-        assert sf.family_to_dict(back) == sf.family_to_dict(fam)
-        for a, b in zip(fam.sequences, back.sequences):
-            assert np.array_equal(a.chi, b.chi)
+        _round_trip(sf.build_family(kind, cfg_a48, **kw))
+
+    @pytest.mark.parametrize("kind,kappa", [
+        ("hat_pma", 0), ("hat_dpma", 1), ("apma", 0),
+    ])
+    def test_concatenated_round_trip(self, cfg_b139, kind, kappa):
+        # decomposition computed by the builder, then read back from the JSON
+        _round_trip(sf.build_family(kind, cfg_b139, kappa=kappa))
 
     def test_augmented_round_trip_bit_exact(self, cfg_b139):
         decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
         fam = sf.build_family("adpma", cfg_b139, kappa=1, decomp=decomp)
-        blob = json.dumps(sf.family_to_dict(fam))
-        back = sf.family_from_dict(json.loads(blob))
-        assert len(back) == len(fam) == 60
-        assert sf.family_to_dict(back) == sf.family_to_dict(fam)
-        for a, b in zip(fam.sequences, back.sequences):
-            assert np.array_equal(a.chi, b.chi)
+        assert len(_round_trip(fam)) == 60
 
     def test_baseline_round_trip(self, cfg_b839):
-        fam = sf.build_family("zc", cfg_b839, count=10, min_csd=26)
-        back = sf.family_from_dict(json.loads(json.dumps(sf.family_to_dict(fam))))
-        assert sf.family_to_dict(back) == sf.family_to_dict(fam)
-        for a, b in zip(fam.sequences, back.sequences):
-            assert np.array_equal(a.chi, b.chi)
+        _round_trip(sf.build_family("zc", cfg_b839, count=10, min_csd=26))
+
+    def test_pn_round_trip(self, cfg_b839):
+        _round_trip(sf.build_family("pn", cfg_b839, count=10, min_csd=26))
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("dpma", {"kappa": 2}),
+        ("adpma", {"kappa": 1}),
+    ])
+    def test_values_round_trip(self, cfg_a48, cfg_b139, kind, kw):
+        cfg = cfg_a48 if kind == "dpma" else cfg_b139
+        _round_trip(sf.build_family(kind, cfg, **kw), include_sequences=True)
 
     def test_values_export(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
         data = sf.family_to_dict(fam, include_sequences=True)
         arr = np.array(data["sequences"][0])
         assert np.array_equal(arr[:, 0] + 1j * arr[:, 1], fam.sequences[0].chi)
+
+    @pytest.mark.parametrize("edit,key", [
+        (_edit_nu, "nu_vectors"),
+        (lambda d: d.update(sd_order_bound=9), "sd_order_bound"),
+        (_edit_factor_set, "factor_set"),
+        (lambda d: d.update(comment="hand-tuned"), "comment"),
+        (_edit_value, "sequences"),
+    ], ids=["nu_vectors", "sd_order_bound", "factor_set", "extra_key", "sequences"])
+    def test_tampered_json_refused(self, cfg_a48, edit, key):
+        fam = sf.build_family("dpma", cfg_a48, kappa=2)
+        data = json.loads(json.dumps(sf.family_to_dict(fam, include_sequences=True)))
+        sf.family_from_dict(data)
+        edit(data)
+        with pytest.raises(DomainError, match=key):
+            sf.family_from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        [1, 2], {}, {"kind": "pma", "n": 48, "gamma": True, "alpha": "1/2"},
+        {"kind": "pma", "n": 48, "gamma": 2, "alpha": "1/0"},
+        {"kind": "hat_pma", "n": 139, "gamma": 1, "alpha": "33/256",
+         "decomposition": 5},
+    ], ids=["list", "empty", "bool_gamma", "zero_denominator", "int_decomposition"])
+    def test_malformed_recipe_refused(self, data):
+        with pytest.raises(DomainError):
+            sf.family_from_dict(data)
