@@ -229,7 +229,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=int, default=1)
     p.add_argument("--decomp", default=None,
                    help="JSON file with {\"parts\": [...]} for hat kinds")
-    p.add_argument("--count", type=int, default=None, help="members (zc/pn)")
+    p.add_argument("--count", type=int, default=None,
+                   help="members: the zc/pn size, or the leading members kept")
     p.add_argument("--min-csd", dest="min_csd", type=int, default=None)
     p.add_argument("--values", action="store_true",
                    help="embed sequence values in the family JSON")

@@ -136,11 +136,6 @@ class RotationSolution:
     epsilon: float
 
 
-def _mixed_radix_digits(n_index: np.ndarray, weights: Sequence[int],
-                        bases: Sequence[int]) -> list[np.ndarray]:
-    return [(n_index // w) % b for w, b in zip(weights, bases)]
-
-
 def _phase_numerators(digits: list[np.ndarray], bases: Sequence[int],
                       nu: Sequence[int], weights: Sequence[int],
                       cfg: WaveformConfig) -> tuple[np.ndarray, int]:
@@ -167,7 +162,7 @@ def _build_chi(factors: Sequence[int], nu: Sequence[int], weights: Sequence[int]
                cfg: WaveformConfig, length: int) -> np.ndarray:
     _validate_nu(nu, factors)
     n_index = np.arange(length)
-    digits = _mixed_radix_digits(n_index, weights, factors)
+    digits = [(n_index // w) % b for w, b in zip(weights, factors)]
     numer, denom = _phase_numerators(digits, factors, nu, weights, cfg)
     return _unit_phases(numer, denom)
 
@@ -208,11 +203,7 @@ def build_i_sequence(factors: Sequence[int], nu: Sequence[int],
     n = math.prod(factors)
     if n != cfg.n_seq:
         raise DomainError(f"factors multiply to {n}, config says {cfg.n_seq}")
-    weights = []
-    acc = n
-    for a in factors:
-        acc //= a
-        weights.append(acc)
+    weights = [n // math.prod(factors[:m + 1]) for m in range(len(factors))]
     chi = _build_chi(factors, nu, weights, cfg, n)
     return CaSequence(chi, cfg, meta={
         "kind": "i", "factors": list(factors), "nu": list(nu)})
@@ -322,15 +313,12 @@ def _build_hat_family(kind: str, decomp: Decomposition,
                       kappa: int) -> Family:
     per_part_factors = [fs.sorted_descending() for fs in factor_sets]
     per_part_nus = [_nu_vectors(f) for f in per_part_factors]
-    count = min(len(nus) for nus in per_part_nus)
-    seqs = []
-    chosen = []
-    for i in range(count):
-        nu_set = [per_part_nus[rho][i] for rho in range(len(decomp.parts))]
-        seqs.append(build_hat_sequence(decomp, per_part_factors, nu_set, cfg))
-        chosen.append([list(v) for v in nu_set])
+    # member i takes the i-th index vector of every part
+    chosen = [[list(v) for v in nu_set] for nu_set in zip(*per_part_nus)]
     return Family(
-        sequences=seqs, kind=kind, cfg=cfg,
+        sequences=[build_hat_sequence(decomp, per_part_factors, nu_set, cfg)
+                   for nu_set in chosen],
+        kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(decomp.min_omega - kappa, cfg),
         family_csd=None,
         meta={"decomposition": list(decomp.parts),
@@ -345,16 +333,33 @@ def build_family(kind: str, cfg: WaveformConfig, kappa: int = 0,
                  decomp: Decomposition | None = None,
                  count: int | None = None, min_csd: int | None = None,
                  roots: Sequence[int] = (1, 2)) -> Family:
-    """Construct a full sequence family of the given kind.
+    """Construct a sequence family of the given kind.
 
     kappa selects the degeneracy level for dpma/near_dpma/hat_dpma/adpma;
     decomp supplies the additive decomposition for hat kinds (computed
-    when omitted).  count/min_csd/roots configure the zc and pn baselines.
+    when omitted).  count/min_csd/roots configure the zc and pn baselines;
+    for the other kinds count keeps the leading members of the full family.
     """
-    n = cfg.n_seq
     if kind not in FAMILY_KINDS:
         raise DomainError(f"unknown family kind {kind!r}")
+    if kind in ("zc", "pn"):
+        if count is None or min_csd is None:
+            raise DomainError(f"{kind} baseline needs count and min_csd")
+        if kind == "zc":
+            return build_multiroot_zc_family(cfg, count, min_csd, roots)
+        return build_pn_family(cfg, count, min_csd)
+    fam = _build_structured_family(kind, cfg, kappa, decomp)
+    if count is not None:
+        if not 1 <= count <= len(fam):
+            raise DomainError(f"count must be in [1, {len(fam)}] for this {kind} family")
+        fam.sequences = fam.sequences[:count]
+    return fam
 
+
+def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
+                             decomp: Decomposition | None) -> Family:
+    """The full flat or concatenated family of the given kind."""
+    n = cfg.n_seq
     if kind == "pma":
         return _build_flat_family(kind, factorlab.factor_set(n), cfg)
 
@@ -367,45 +372,33 @@ def build_family(kind: str, cfg: WaveformConfig, kappa: int = 0,
         mode = "near" if kind == "near_dpma" else "proper"
         return _build_flat_family(kind, factorlab.factor_set(n, kappa, mode), cfg)
 
-    if kind in HAT_KINDS:
-        augmented = kind in ("apma", "adpma")
-        part_kappa = kappa if kind in ("hat_dpma", "adpma") else 0
-        if decomp is None:
-            if augmented:
-                pf = prime_factorize(n)
-                decomp = factorlab.mpo_decompose(n, require_restriction_a=True)
-                if not decomp.at_mpo and decomp.mpo == pf.omega:
-                    raise InfeasibleError(
-                        f"augmentation infeasible for N={n}: the largest "
-                        f"min-omega level {decomp.mpo} equals omega(N) and is "
-                        f"achieved only without >= 3 parts below N/2")
-            else:
-                decomp = factorlab.mpo_decompose(n)
-        elif decomp.mpo == 0:
-            decomp = Decomposition(n, decomp.parts, mpo=factorlab.mpo_value(n))
-        if part_kappa and not 1 <= part_kappa <= decomp.min_omega - 1:
-            raise DomainError(
-                f"kappa must be in [1, {decomp.min_omega - 1}] for parts "
-                f"{decomp.parts}")
-        factor_sets = [factorlab.factor_set(p, part_kappa) for p in decomp.parts]
-        base_kind = "hat_dpma" if part_kappa else "hat_pma"
-        fam = _build_hat_family(base_kind, decomp, factor_sets, cfg, part_kappa)
+    # the concatenated kinds, HAT_KINDS
+    augmented = kind in ("apma", "adpma")
+    part_kappa = kappa if kind in ("hat_dpma", "adpma") else 0
+    if decomp is None:
         if augmented:
-            fam = augment_family(fam)
-            fam.kind = kind
-        return fam
-
-    if kind == "zc":
-        if count is None or min_csd is None:
-            raise DomainError("zc baseline needs count and min_csd")
-        return build_multiroot_zc_family(cfg, count, min_csd, roots)
-
-    if kind == "pn":
-        if count is None or min_csd is None:
-            raise DomainError("pn baseline needs count and min_csd")
-        return build_pn_family(cfg, count, min_csd)
-
-    raise DomainError(f"unhandled kind {kind!r}")
+            pf = prime_factorize(n)
+            decomp = factorlab.mpo_decompose(n, require_restriction_a=True)
+            if not decomp.at_mpo and decomp.mpo == pf.omega:
+                raise InfeasibleError(
+                    f"augmentation infeasible for N={n}: the largest "
+                    f"min-omega level {decomp.mpo} equals omega(N) and is "
+                    f"achieved only without >= 3 parts below N/2")
+        else:
+            decomp = factorlab.mpo_decompose(n)
+    elif decomp.mpo == 0:
+        decomp = Decomposition(n, decomp.parts, mpo=factorlab.mpo_value(n))
+    if part_kappa and not 1 <= part_kappa <= decomp.min_omega - 1:
+        raise DomainError(
+            f"kappa must be in [1, {decomp.min_omega - 1}] for parts "
+            f"{decomp.parts}")
+    factor_sets = [factorlab.factor_set(p, part_kappa) for p in decomp.parts]
+    base_kind = "hat_dpma" if part_kappa else "hat_pma"
+    fam = _build_hat_family(base_kind, decomp, factor_sets, cfg, part_kappa)
+    if augmented:
+        fam = augment_family(fam)
+        fam.kind = kind
+    return fam
 
 
 def augment_family(base: Family) -> Family:
@@ -428,10 +421,8 @@ def augment_family(base: Family) -> Family:
     theta_deg = [math.degrees(t) for t in sol.theta]
     theta = [math.radians(d) for d in theta_deg]
     decomp = Decomposition(base.n, parts, mpo=0)
-    rotated = []
-    for nu_set in base.meta["nu_vectors"]:
-        rotated.append(build_hat_sequence(
-            decomp, base.meta["factor_sets"], nu_set, base.cfg, rotation=theta))
+    rotated = [build_hat_sequence(decomp, base.meta["factor_sets"], nu_set, base.cfg,
+                                  rotation=theta) for nu_set in base.meta["nu_vectors"]]
     new_kind = "apma" if base.kind == "hat_pma" else "adpma"
     meta = dict(base.meta)
     meta["theta_degrees"] = theta_deg
@@ -595,47 +586,62 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
 #: The fields a family is rebuilt from, with their JSON type checks; every
 #: other field of a family JSON follows from these.
-_RECIPE_CHECKS = {
-    "kind": lambda v: isinstance(v, str),
-    "n": _is_int,
-    "gamma": _is_int,
-    "alpha": lambda v: isinstance(v, str) and re.fullmatch(r"\d+/[1-9]\d*", v),
-    "kappa": _is_int,
-    "decomposition": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "size": _is_int,
-    "min_csd": _is_int,
-    "roots": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-}
+_REQUIRED_FIELDS = {
+    "kind": lambda v: isinstance(v, str), "n": _is_int, "gamma": _is_int,
+    "alpha": lambda v: isinstance(v, str) and re.fullmatch(r"\d+/[1-9]\d*", v)}
+_OPTIONAL_FIELDS = {"kappa": _is_int, "decomposition": _is_int_list, "size": _is_int,
+                    "min_csd": _is_int, "roots": _is_int_list}
+
+#: Fields computed in floating point (libm, numpy), compared with the
+#: rebuild to a few ulps so a file loads where rounding differs slightly.
+_FLOAT_FIELDS = ("theta_degrees", "sequences")
+
+
+def _matches(key: str, rebuilt, stored) -> bool:
+    if key not in _FLOAT_FIELDS:
+        return rebuilt == stored
+    try:
+        a, b = np.asarray(rebuilt, dtype=float), np.asarray(stored, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return a.shape == b.shape and np.allclose(a, b, rtol=1e-15, atol=1e-14)
 
 
 def family_from_dict(data: dict) -> Family:
     """Rebuild a family from the recipe in its exported description.
 
-    The recipe fields (_RECIPE_CHECKS) go through build_family; every other
-    field, and the sequence values when present, must equal what
-    family_to_dict exports for the rebuild, so a file edited away from its
-    recipe is refused rather than trusted.
+    The recipe fields go through build_family; every other field, and the
+    sequence values when present, must match what family_to_dict exports
+    for the rebuild, so a file edited away from its recipe is refused
+    rather than trusted.
     """
     if not isinstance(data, dict):
         raise DomainError(f"family JSON must be an object, not {type(data).__name__}")
-    bad = [k for k, ok in _RECIPE_CHECKS.items()
-           if (not ok(data[k]) if k in data else k in ("kind", "n", "gamma", "alpha"))]
+    bad = [k for k, ok in _REQUIRED_FIELDS.items() if not ok(data.get(k))]
+    bad += [k for k, ok in _OPTIONAL_FIELDS.items() if k in data and not ok(data[k])]
     if bad:
         raise DomainError(f"family JSON has missing or malformed fields {bad}")
     num, den = data["alpha"].split("/")
     cfg = WaveformConfig(n_seq=data["n"], gamma=data["gamma"],
                          alpha=Fraction(int(num), int(den)))
-    parts = data.get("decomposition")
-    family = build_family(
-        data["kind"], cfg, kappa=data.get("kappa", 0),
-        decomp=None if parts is None else Decomposition(cfg.n_seq, tuple(parts)),
-        count=data.get("size"), min_csd=data.get("min_csd"),
-        roots=tuple(data.get("roots", (1, 2))))
+    recipe = {arg: data[key] for key, arg in
+              (("kappa", "kappa"), ("size", "count"), ("min_csd", "min_csd"))
+              if key in data}
+    if "decomposition" in data:
+        recipe["decomp"] = Decomposition(cfg.n_seq, tuple(data["decomposition"]))
+    if "roots" in data:
+        recipe["roots"] = tuple(data["roots"])
+    family = build_family(data["kind"], cfg, **recipe)
     rebuilt = family_to_dict(family, include_sequences="sequences" in data)
     differ = sorted(k for k in rebuilt.keys() | data.keys()
-                    if k not in rebuilt or k not in data or rebuilt[k] != data[k])
+                    if k not in rebuilt or k not in data
+                    or not _matches(k, rebuilt[k], data[k]))
     if differ:
         raise DomainError(f"family JSON does not match its recipe in {differ}")
     return family

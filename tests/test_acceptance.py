@@ -95,25 +95,12 @@ def _announce(num: int, name: str):
     print(f"\nACCEPTANCE {num} ({name}): PASS")
 
 
-def _factor_set(n: int, kappa: int, mode: str) -> fl.FactorSet:
-    pf = fl.prime_factorize(n)
-    if kappa == 0:
-        return fl.FactorSet(n, pf.primes, kappa=0)
-    if mode == "near":
-        return fl.near_proper_factorization(pf, kappa)
-    if kappa == 1:
-        return fl.proper_factorization_kappa1(pf)
-    if kappa == 2:
-        return fl.proper_factorization_kappa2(pf)
-    return fl.exclusive_search_proper(pf, kappa)
-
-
 def test_criterion_1_factor_table_reproduction():
     start = time.time()
     for n, spec_rows in FLAT_REFERENCE.items():
         min_csd = spec_rows["min_csd"]
         for (kappa, mode), (factors, size, csd, avail) in spec_rows["rows"].items():
-            fs = _factor_set(n, kappa, mode)
+            fs = fl.factor_set(n, kappa, mode)
             assert fs.sorted_ascending() == factors, (n, kappa, mode)
             assert fs.family_size == size, (n, kappa, mode)
             assert fs.family_csd == csd, (n, kappa, mode)

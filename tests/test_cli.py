@@ -64,6 +64,14 @@ class TestBuild:
                     "--decomp", str(decomp), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["size"] == 112
 
+    def test_count_keeps_leading_members(self, tmp_path, capsys):
+        out = tmp_path / "pma48.json"
+        assert run(["build", "--n", "48", "--kind", "pma", "--count", "1",
+                    "--out", str(out)]) == 0
+        assert "size=1" in capsys.readouterr().out
+        assert run(["verify", "--family", str(out),
+                    "--out", str(tmp_path / "rep.json")]) == 0
+
     def test_infeasible_augmentation_exit_3(self, tmp_path):
         out = tmp_path / "nope.json"
         assert run(["build", "--n", "48", "--kind", "apma", "--alpha", "1/2",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -359,6 +360,35 @@ class TestFamilyJson:
     def test_values_round_trip(self, cfg_a48, cfg_b139, kind, kw):
         cfg = cfg_a48 if kind == "dpma" else cfg_b139
         _round_trip(sf.build_family(kind, cfg, **kw), include_sequences=True)
+
+    def test_leading_members_round_trip(self, cfg_b139):
+        # a family cut to its leading members exports size < nu_vectors and
+        # reloads as exactly those members
+        decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
+        fam = sf.build_family("apma", cfg_b139, decomp=decomp)
+        cut = dataclasses.replace(fam, sequences=fam.sequences[:2])
+        back = _round_trip(cut, include_sequences=True)
+        assert len(back) == 2 and len(back.meta["nu_vectors"]) == len(fam) // 2
+        counted = sf.build_family("apma", cfg_b139, decomp=decomp, count=2)
+        assert sf.family_to_dict(counted) == sf.family_to_dict(cut)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_count_out_of_range(self, cfg_a48, count):
+        assert len(sf.build_family("pma", cfg_a48)) == 2
+        with pytest.raises(DomainError, match="count"):
+            sf.build_family("pma", cfg_a48, count=count)
+
+    def test_float_fields_match_to_ulps(self, cfg_b139):
+        fam = sf.build_family("adpma", cfg_b139, kappa=1,
+                              decomp=fl.Decomposition.from_parts(139, (50, 45, 44)))
+        data = json.loads(json.dumps(sf.family_to_dict(fam, include_sequences=True)))
+        theta = data["theta_degrees"][1]
+        data["theta_degrees"][1] = float(np.nextafter(theta, np.inf))
+        data["sequences"][30][7][1] = float(np.nextafter(data["sequences"][30][7][1], 2.0))
+        sf.family_from_dict(data)
+        data["theta_degrees"][1] = theta + 1e-9
+        with pytest.raises(DomainError, match="theta_degrees"):
+            sf.family_from_dict(data)
 
     def test_values_export(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
