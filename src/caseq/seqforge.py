@@ -335,7 +335,8 @@ def build_family(kind: str, cfg: WaveformConfig, kappa: int = 0,
                  roots: Sequence[int] = (1, 2)) -> Family:
     """Construct a sequence family of the given kind.
 
-    kappa selects the degeneracy level for dpma/near_dpma/hat_dpma/adpma;
+    kappa selects the degeneracy level for dpma/near_dpma/hat_dpma/adpma
+    and must be 0 for pma/hat_pma/apma;
     decomp supplies the additive decomposition for hat kinds (computed
     when omitted).  count/min_csd/roots configure the zc and pn baselines;
     for the other kinds count keeps the leading members of the full family.
@@ -360,6 +361,8 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
                              decomp: Decomposition | None) -> Family:
     """The full flat or concatenated family of the given kind."""
     n = cfg.n_seq
+    if kind in ("pma", "hat_pma", "apma") and kappa != 0:
+        raise DomainError(f"{kind} families take kappa = 0, got {kappa}")
     if kind == "pma":
         return _build_flat_family(kind, factorlab.factor_set(n), cfg)
 
@@ -374,7 +377,6 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
 
     # the concatenated kinds, HAT_KINDS
     augmented = kind in ("apma", "adpma")
-    part_kappa = kappa if kind in ("hat_dpma", "adpma") else 0
     if decomp is None:
         if augmented:
             pf = prime_factorize(n)
@@ -388,13 +390,13 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
             decomp = factorlab.mpo_decompose(n)
     elif decomp.mpo == 0:
         decomp = Decomposition(n, decomp.parts, mpo=factorlab.mpo_value(n))
-    if part_kappa and not 1 <= part_kappa <= decomp.min_omega - 1:
+    if kind in ("hat_dpma", "adpma") and not 1 <= kappa <= decomp.min_omega - 1:
         raise DomainError(
-            f"kappa must be in [1, {decomp.min_omega - 1}] for parts "
-            f"{decomp.parts}")
-    factor_sets = [factorlab.factor_set(p, part_kappa) for p in decomp.parts]
-    base_kind = "hat_dpma" if part_kappa else "hat_pma"
-    fam = _build_hat_family(base_kind, decomp, factor_sets, cfg, part_kappa)
+            f"{kind} needs kappa in [1, {decomp.min_omega - 1}] for parts "
+            f"{decomp.parts}, got {kappa}")
+    factor_sets = [factorlab.factor_set(p, kappa) for p in decomp.parts]
+    base_kind = "hat_dpma" if kappa else "hat_pma"
+    fam = _build_hat_family(base_kind, decomp, factor_sets, cfg, kappa)
     if augmented:
         fam = augment_family(fam)
         fam.kind = kind

@@ -52,8 +52,10 @@ def compute_spectrum(seq: CaSequence, grid_span: float = 64.0,
     """Analytic baseband power spectrum on a symmetric grid.
 
     grid_span is in units of the signal bandwidth gamma*N/T_d; the grid is
-    symmetric about the occupied-band center.  Values are exact sinc sums
-    per grid point (no FFT aliasing of the tail).
+    symmetric about the occupied-band center.  Values are exact per grid
+    point (no FFT aliasing of the tail): the kernel sums the subcarriers in
+    partial-fraction form and every term within 1/T of its subcarrier in
+    sinc form.
     """
     cfg = seq.cfg
     if grid_points < 4096:
@@ -140,7 +142,9 @@ def out_of_band_fraction(family: Family, bandwidths: list[float],
 
     For each normalized bandwidth B, the fraction is the exact total power
     minus the trapezoid integral of the spectrum over |f| <= B/2, over the
-    exact total.  Returned as (B, eta_db) rows.
+    exact total.  The integral runs to the exact band edges: its end cells
+    stop at +-B/2, where the power is interpolated linearly.  Returned as
+    (B, eta_db) rows.
     """
     if max(bandwidths) > grid_span:
         raise ResolutionError("bandwidth request exceeds the grid span")
@@ -149,10 +153,13 @@ def out_of_band_fraction(family: Family, bandwidths: list[float],
     totals = [_exact_total_power(s) for s in family.sequences]
     rows = []
     for b in bandwidths:
+        half = b / 2.0
         fracs = []
         for sp, total in zip(specs, totals):
-            inb = np.abs(sp.freqs) <= b / 2.0
-            inside = float(np.trapezoid(np.where(inb, sp.power, 0.0), sp.freqs))
+            inb = np.abs(sp.freqs) < half
+            edge = np.interp([-half, half], sp.freqs, sp.power)
+            inside = float(np.trapezoid(np.r_[edge[0], sp.power[inb], edge[1]],
+                                        np.r_[-half, sp.freqs[inb], half]))
             fracs.append(max(total - inside, 0.0) / total)
         rows.append((b, 10.0 * math.log10(max(np.mean(fracs), 1e-300))))
     return rows

@@ -182,12 +182,20 @@ def test_malformed_json_exits_2_with_one_line(family48, tmp_path, argv, content)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content(family48)))
     paths = {"bad": bad, "family": family48, "out": tmp_path / "out.json"}
+    _assert_exits_2_with_one_line([a.format(**paths) for a in argv])
+
+
+def test_kappa_missing_for_adpma_exits_2_with_one_line(tmp_path):
+    _assert_exits_2_with_one_line(["build", "--kind", "adpma", "--n", "139",
+                                   "--out", str(tmp_path / "out.json")])
+
+
+def _assert_exits_2_with_one_line(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "caseq.cli", *(a.format(**paths) for a in argv)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "caseq.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -210,6 +210,13 @@ class TestFamilies:
                 else fam.n - 2 * fam.sd_order_bound
             assert len(fam) <= bound
 
+    @pytest.mark.parametrize("kind,kappa", [
+        ("pma", 1), ("hat_pma", 1), ("apma", 1), ("hat_dpma", 0), ("adpma", 0),
+    ])
+    def test_kappa_the_kind_ignores_rejected(self, cfg_b139, kind, kappa):
+        with pytest.raises(DomainError, match="kappa"):
+            sf.build_family(kind, cfg_b139, kappa=kappa)
+
     def test_unknown_kind(self, cfg_a48):
         with pytest.raises(DomainError):
             sf.build_family("yl", cfg_a48)

@@ -19,6 +19,47 @@ def _single_subcarrier(cfg):
     return CaSequence(chi, cfg)
 
 
+def _assert_matches_mpmath(freqs, amps, sub, pulse_t):
+    """spectrum_power against sum_n a_n (1 - exp(-2j pi v T)) / (2j pi v) in
+    mpmath, within 1e-9 of the in-band peak; every value must be finite."""
+    got = spectrum_power(freqs, amps, sub, pulse_t)
+    assert np.isfinite(got).all()
+    peak = spectrum_power(np.linspace(sub[0], sub[-1], 4096), amps, sub,
+                          pulse_t).max()
+    with mpmath.workdps(30):
+        t = mpmath.mpf(pulse_t)
+        for f, value in zip(freqs, got):
+            acc = mpmath.mpc(0)
+            for a, x in zip(amps, sub):
+                v = mpmath.mpf(f) - mpmath.mpf(x)
+                d = t if v == 0 else (1 - mpmath.expjpi(-2 * v * t)) / (2j * mpmath.pi * v)
+                acc += mpmath.mpc(a.real, a.imag) * d
+            assert abs(value - float(abs(acc) ** 2)) <= 1e-9 * peak, f
+
+
+def _assert_single_tone_eta(cfg):
+    """eta of |T sinc(fT)|^2 outside [y1, y2] in y = fT units is
+    1 - (S(y2) - S(y1)), S(y) = (Si(2 pi y) - sin^2(pi y) / (pi y)) / pi;
+    the tone sits on subcarrier 0; span 16, 2^14 points, within 0.02 dB."""
+    fam = sf.Family(sequences=[_single_subcarrier(cfg)], kind="tone",
+                    cfg=cfg, sd_order_bound=0)
+    bandwidths = [1.0, 2.0, 4.0, 8.0]
+    rows = sp.out_of_band_fraction(fam, bandwidths, grid_span=16,
+                                   grid_points=2 ** 14)
+    t = cfg.pulse_duration
+    bandwidth = cfg.gamma * cfg.n_seq
+    center = 0.5 * (cfg.n_seq - 1) * cfg.gamma
+
+    def s(y):
+        z = mpmath.pi * y
+        return (mpmath.si(2 * z) - mpmath.sin(z) ** 2 / z) / mpmath.pi
+
+    for b, eta_db in rows:
+        inside = s((center + b * bandwidth / 2) * t) - s((center - b * bandwidth / 2) * t)
+        exact_db = 10.0 * math.log10(float(1 - inside))
+        assert abs(eta_db - exact_db) < 0.02, (b, eta_db, exact_db)
+
+
 class TestComputeSpectrum:
     def test_single_subcarrier_is_squared_sinc(self):
         cfg = sf.WaveformConfig(4, gamma=2, alpha=Fraction(1, 2))
@@ -84,18 +125,24 @@ class TestKernels:
         far_tail = np.concatenate([sub[-1] + span * rng.uniform(20.0, 200.0, 3),
                                    sub[0] - span * rng.uniform(20.0, 200.0, 3)])
         freqs = np.concatenate([on_subcarrier, main_lobe, far_tail])
-        got = spectrum_power(freqs, amps, sub, pulse_t)
-        peak = spectrum_power(np.linspace(sub[0], sub[-1], 4096), amps, sub,
-                              pulse_t).max()
-        with mpmath.workdps(30):
-            t = mpmath.mpf(pulse_t)
-            for f, value in zip(freqs, got):
-                acc = mpmath.mpc(0)
-                for a, x in zip(amps, sub):
-                    v = mpmath.mpf(f) - mpmath.mpf(x)
-                    d = t if v == 0 else (1 - mpmath.expjpi(-2 * v * t)) / (2j * mpmath.pi * v)
-                    acc += mpmath.mpc(a.real, a.imag) * d
-                assert abs(value - float(abs(acc) ** 2)) <= 1e-9 * peak
+        _assert_matches_mpmath(freqs, amps, sub, pulse_t)
+
+    def test_matches_mpmath_oracle_at_near_far_switch(self):
+        """N=839 oracle where the partial-fraction form can fail: on and just
+        off a subcarrier, on both sides of |f - x_n| T = 1, and far out."""
+        rng = np.random.default_rng(11)
+        cfg = sf.WaveformConfig(839, gamma=1, alpha=Fraction(33, 256))
+        n, pulse_t = cfg.n_seq, cfg.pulse_duration
+        amps = np.exp(2j * np.pi * rng.random(n))
+        sub = np.arange(n, dtype=np.float64) * cfg.gamma
+        span = sub[-1] - sub[0]
+        x = sub[419]
+        near = x + np.array([0.0, 1e-9, -1e-6, 1e-3])
+        switch = x + np.array([1 - 1e-9, 1 + 1e-9, -1 + 1e-6, -1 - 1e-6]) / pulse_t
+        far_tail = np.concatenate([sub[-1] + span * rng.uniform(20.0, 200.0, 3),
+                                   sub[0] - span * rng.uniform(20.0, 200.0, 3)])
+        _assert_matches_mpmath(np.concatenate([near, switch, far_tail]),
+                               amps, sub, pulse_t)
 
 
 class TestDecaySlopes:
@@ -149,26 +196,12 @@ class TestOutOfBand:
         assert eta_pma < eta_zc - 20  # tens of dB more compact
 
     def test_single_tone_matches_sine_integral(self):
-        """eta of |T sinc(fT)|^2 outside [y1, y2] in y = fT units is
-        1 - (S(y2) - S(y1)), S(y) = (Si(2 pi y) - sin^2(pi y) / (pi y)) / pi."""
-        cfg = sf.WaveformConfig(4, gamma=2, alpha=Fraction(1, 2))
-        fam = sf.Family(sequences=[_single_subcarrier(cfg)], kind="tone",
-                        cfg=cfg, sd_order_bound=0)
-        bandwidths = [1.0, 2.0, 4.0, 8.0]
-        rows = sp.out_of_band_fraction(fam, bandwidths, grid_span=16,
-                                       grid_points=2 ** 14)
-        t = cfg.pulse_duration
-        bandwidth = cfg.gamma * cfg.n_seq
-        center = 0.5 * (cfg.n_seq - 1) * cfg.gamma
+        _assert_single_tone_eta(sf.WaveformConfig(4, gamma=2, alpha=Fraction(1, 2)))
 
-        def s(y):
-            z = mpmath.pi * y
-            return (mpmath.si(2 * z) - mpmath.sin(z) ** 2 / z) / mpmath.pi
-
-        for b, eta_db in rows:
-            inside = s((center + b * bandwidth / 2) * t) - s((center - b * bandwidth / 2) * t)
-            exact_db = 10.0 * math.log10(float(1 - inside))
-            assert abs(eta_db - exact_db) < 0.02, (b, eta_db, exact_db)
+    def test_single_tone_band_edge_on_main_lobe(self):
+        """At N=48 the B=1 edge cuts the tone's main lobe, where a
+        half-cell past the edge biases the in-band integral."""
+        _assert_single_tone_eta(sf.WaveformConfig(48, gamma=1, alpha=Fraction(1, 8)))
 
     def test_bandwidth_beyond_grid_rejected(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
