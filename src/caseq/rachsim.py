@@ -1,11 +1,17 @@
 """Random-access channel-identification simulator.
 
-One-shot model: a terminal sends the k-th identification sequence; the
-receiver correlates the frequency-domain observation against all J
-candidates and thresholds the squared magnitudes.  Monte Carlo estimates
-of the false-alarm, false-identification, and correct-identification
-probabilities come with Wilson intervals and closed-form companions
-derived from the tap statistics.
+One-shot model: a terminal sends the k-th of J identification sequences
+over a tapped-delay-line Rayleigh channel; the receiver correlates the
+N-tone frequency-domain observation against all J candidates and
+thresholds the squared magnitudes.  The correlator outputs are linear in
+the tap gains and the noise, y = sum_l g_l C_l[k, :] + w, so the Monte
+Carlo samples these J numbers directly from the leakage tensor C_l and
+coloured J-dimensional noise (white when the candidates are orthogonal),
+and the closed-form false-alarm, false-identification and
+correct-identification probabilities read their variances from the same
+tensor.  Estimates come with one-sigma half-widths: Wilson intervals for
+p_fa and p_c, and the per-trial standard error for p_fid, whose J - 1
+events in a trial share one channel draw.
 """
 
 from __future__ import annotations
@@ -109,8 +115,8 @@ class RaSimConfig:
             self.j_sequences = len(self.family)
         if self.j_sequences > len(self.family):
             raise DomainError("more identification sequences than family members")
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        if self.trials < 2:
+            raise DomainError("trials must be >= 2: the p_fid sigma is a per-trial spread")
 
     def beta_at(self, phi: float) -> float:
         if self.beta is not None:
@@ -122,7 +128,7 @@ class RaSimConfig:
 class RaSnrResult:
     snr_db: float
     beta: float
-    mc: dict            # metric -> (estimate, wilson_sigma)
+    mc: dict            # metric -> (estimate, one-sigma half-width)
     closed_form: dict   # metric -> value
 
 
@@ -138,10 +144,17 @@ class RaResult:
 def _cscg(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
     """Circularly-symmetric complex Gaussians via the polar (Box-Muller) form,
     so draws depend only on the generator's uniform stream."""
-    u1 = rng.random(shape)
+    mag = rng.random(shape)
     u2 = rng.random(shape)
-    mag = np.sqrt(-variance * np.log1p(-u1))
-    return mag * np.exp(2j * np.pi * u2)
+    # mag = sqrt(-variance log(1 - u1)), then mag exp(2j pi u2), in place
+    np.log1p(np.negative(mag, out=mag), out=mag)
+    mag *= -variance
+    np.sqrt(mag, out=mag)
+    out = np.zeros(mag.shape, dtype=complex)
+    np.multiply(u2, 2.0 * np.pi, out=out.imag)
+    np.exp(out, out=out)
+    out *= mag
+    return out
 
 
 def _batch_rng(seed: int, label: int, batch: int) -> np.random.Generator:
@@ -178,6 +191,32 @@ def detect(r: np.ndarray, q_matrix: np.ndarray, beta: float) -> np.ndarray:
     return np.nonzero(y > beta)[0]
 
 
+def _leakage(q_matrix: np.ndarray, profile: ChannelProfile,
+             delta_f_hz: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Leakage tensor and the variances the closed forms read from it.
+
+    C_l[k, i] = sqrt(N) sum_n q_k[n] exp(-2j pi df n tau_l) conj(q_i[n]) is
+    what the i-th correlator picks up through tap l when q_k is sent
+    (an L x J x J tensor).  The variances are accumulated tap by tap:
+    sigma_fie[i, k] = sum_l p_l |C_l[k, i]|^2 with a zero diagonal, and
+    sigma_c = sum_l p_l |C_l[k, k]|^2 averaged over k (the same for every
+    k of a constant-amplitude family).
+    """
+    j, n = q_matrix.shape
+    q_h = q_matrix.conj().T
+    idx = np.arange(n)
+    tensor = np.empty((len(profile.delays_s), j, j), dtype=complex)
+    acc = np.zeros((j, j))
+    for c, delay, p in zip(tensor, profile.delays_s, profile.powers):
+        ph = math.sqrt(n) * np.exp(-2j * np.pi * delta_f_hz * delay * idx)
+        np.matmul(q_matrix * ph, q_h, out=c)
+        acc += p * np.abs(c) ** 2
+    sigma_c = float(np.mean(np.diagonal(acc)))
+    sigma_fie = acc.T.copy()
+    np.fill_diagonal(sigma_fie, 0.0)
+    return tensor, sigma_fie, sigma_c
+
+
 def interference_variances(q_matrix: np.ndarray, profile: ChannelProfile,
                            delta_f_hz: float) -> tuple[np.ndarray, float]:
     """Pairwise leakage variances and the matched-sequence signal variance.
@@ -185,18 +224,31 @@ def interference_variances(q_matrix: np.ndarray, profile: ChannelProfile,
     sigma_fie[i, k] = N sum_l p_l |sum_n conj(q_i) q_k exp(-2j pi df n tau_l)|^2
     sigma_c = (1/N) sum_l p_l |sum_n exp(-2j pi df n tau_l)|^2
     """
-    j, n = q_matrix.shape
-    sigma_fie = np.zeros((j, j))
-    sigma_c = 0.0
-    idx = np.arange(n)
-    for delay, p in zip(profile.delays_s, profile.powers):
-        ph = np.exp(-2j * np.pi * delta_f_hz * delay * idx)
-        cross = q_matrix.conj() @ (q_matrix * ph).T  # (i, k) entry
-        sigma_fie += p * np.abs(cross) ** 2
-        sigma_c += p * abs(ph.sum()) ** 2
-    sigma_fie *= n
-    np.fill_diagonal(sigma_fie, 0.0)
-    return sigma_fie, sigma_c / n
+    _, sigma_fie, sigma_c = _leakage(q_matrix, profile, delta_f_hz)
+    return sigma_fie, sigma_c
+
+
+def _closed_forms(sigma_fie: np.ndarray, sigma_c: float, beta: float,
+                  phi: float) -> dict:
+    """Exact p_fa, p_fid (per requested index and mean) and p_c for the
+    exponential correlator statistics with the given leakage variances."""
+    j = sigma_fie.shape[0]
+    # P(|y_i|^2 > beta) for every i != k at once; column k averages over i
+    p_false = np.exp(-beta * phi / (1.0 + phi * sigma_fie),
+                     where=~np.eye(j, dtype=bool), out=np.zeros((j, j)))
+    per_k = p_false.sum(axis=0) / (j - 1)
+    return {
+        "p_fa": math.exp(-beta * phi),
+        "p_fid_per_k": per_k.tolist(),
+        "p_fid": float(np.mean(per_k)),
+        "p_c": math.exp(-beta * phi / (1.0 + phi * sigma_c)),
+    }
+
+
+def _fie_stats(sigma_fie: np.ndarray) -> tuple[float, float]:
+    """Largest and mean off-diagonal leakage variance."""
+    off = sigma_fie[~np.eye(sigma_fie.shape[0], dtype=bool)]
+    return (float(off.max()), float(off.mean())) if off.size else (0.0, 0.0)
 
 
 def closed_form_metrics(q_matrix: np.ndarray, profile: ChannelProfile,
@@ -204,25 +256,35 @@ def closed_form_metrics(q_matrix: np.ndarray, profile: ChannelProfile,
                         delta_f_hz: float = 1250.0) -> dict:
     """Exact detection probabilities for the exponential correlator statistics."""
     sigma_fie, sigma_c = interference_variances(q_matrix, profile, delta_f_hz)
-    j = q_matrix.shape[0]
-    p_fa = math.exp(-beta * phi)
-    per_k = []
-    for k in range(j):
-        others = [i for i in range(j) if i != k]
-        per_k.append(sum(
-            math.exp(-beta * phi / (1.0 + phi * sigma_fie[i, k])) for i in others
-        ) / (j - 1))
-    p_c = math.exp(-beta * phi / (1.0 + phi * sigma_c))
-    off = sigma_fie[~np.eye(j, dtype=bool)]
-    return {
-        "p_fa": p_fa,
-        "p_fid_per_k": per_k,
-        "p_fid": float(np.mean(per_k)),
-        "p_c": p_c,
-        "sigma_c": sigma_c,
-        "sigma_fie_max": float(off.max()) if off.size else 0.0,
-        "sigma_fie_mean": float(off.mean()) if off.size else 0.0,
-    }
+    fie_max, fie_mean = _fie_stats(sigma_fie)
+    return {**_closed_forms(sigma_fie, sigma_c, beta, phi), "sigma_c": sigma_c,
+            "sigma_fie_max": fie_max, "sigma_fie_mean": fie_mean}
+
+
+def _noise_colour(q_matrix: np.ndarray) -> np.ndarray | None:
+    """A with A^T conj(A) = M = conj(Q) Q^T, or None when M is the identity
+    to 1e-9 (orthogonal rows: white correlator noise).
+
+    White J-dimensional noise times A has covariance E[w_i conj(w_j)] =
+    M[i, j], that of N-dimensional white noise correlated against the rows
+    of Q.  A = chol(M)^T; when M is singular (more sequences than tones),
+    A = sqrt(Lambda) V^T from its eigendecomposition.
+    """
+    gram = q_matrix.conj() @ q_matrix.T
+    if np.allclose(gram, np.eye(len(gram)), rtol=0.0, atol=1e-9):
+        return None
+    try:
+        return np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(gram)
+        return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T
+
+
+def _noise(rng: np.random.Generator, shape, variance: float,
+           colour: np.ndarray | None) -> np.ndarray:
+    """Correlator-output noise: white CN(0, variance) draws, coloured by A."""
+    w = _cscg(rng, shape, variance)
+    return w if colour is None else w @ colour
 
 
 def wilson_sigma(successes: int, n: int) -> float:
@@ -246,14 +308,28 @@ def _subset(family: Family, j: int, seed: int) -> np.ndarray:
 def run_simulation(cfg: RaSimConfig) -> RaResult:
     """Monte Carlo tallies with closed-form columns attached.
 
-    Per SNR: `trials` request trials (uniform requested index, fresh
-    channel and noise) and `trials` no-request trials.  All randomness
-    derives from (seed, stream-label, batch-index) Philox keys, so a rerun
-    of the same config is bit-identical and paired runs over different
-    families consume identical channel/noise streams.
+    Per SNR: `trials` request trials (uniform requested index k, fresh
+    channel and noise) and `trials` no-request trials.  The J correlator
+    outputs are sampled directly: y = sum_l g_l C_l[k, :] + w for a request
+    and y = w without one, with tap gains g_l ~ CN(0, p_l), the leakage
+    tensor C_l of `_leakage` built once per run, and w white CN(0, 1/snr)
+    noise times chol(M)^T, M = conj(Q) Q^T.  This is the distribution of
+    correlating the N-tone observation sqrt(N) q_k*h + z against the
+    candidates.  For orthogonal families M is the identity to 1e-9 and the
+    multiply is skipped.  The closed forms read the same tensor.
+
+    All randomness derives from (seed, SNR index, batch index) Philox keys,
+    drawn in the order k, tap gains, request noise, no-request noise, so a
+    rerun of the same config is bit-identical and two families with the
+    same J consume the same white draws (common random numbers).  The
+    seeded numbers differ from versions that drew N-dimensional noise.
+
+    The p_fa and p_c sigmas are z=1 Wilson half-widths.  The J - 1
+    false-identification events of a trial share its channel draw, so the
+    p_fid sigma is the standard error of the per-trial false-identification
+    fraction, std(ddof=1) / sqrt(trials).
     """
     fam = cfg.family
-    n = fam.n
     q = np.ascontiguousarray(_subset(fam, cfg.j_sequences, cfg.seed))
     j = q.shape[0]
     if cfg.p_fa_target is not None and cfg.trials * j * cfg.p_fa_target < 10:
@@ -261,66 +337,70 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             f"{cfg.trials} trials cannot resolve p_fa={cfg.p_fa_target:g}; "
             f"rely on the closed-form column and validate at a relaxed target",
             stacklevel=2)
-    delays = np.asarray(cfg.profile.delays_s)
+    leak, sigma_fie, sigma_c = _leakage(q, cfg.profile, cfg.delta_f_hz)
+    colour = _noise_colour(q)
     tap_p = np.sqrt(np.asarray(cfg.profile.powers))
-    tap_phases = np.exp(-2j * np.pi * cfg.delta_f_hz * np.outer(delays, np.arange(n)))
-    q_h = q.conj().T
+    # one reused buffer for the tap-by-tap gather of C_l[k, :]
+    tap = np.empty((min(BATCH, cfg.trials), j), dtype=complex)
 
     per_snr = []
-    sigma_stats = None
     for snr_idx, snr_db in enumerate(cfg.snr_db_list):
         phi = 10.0 ** (snr_db / 10.0)
         beta = cfg.beta_at(phi)
         noise_var = 1.0 / phi
-        fa_count = 0
-        fid_count = 0
-        c_count = 0
+        fa_count = c_count = fid_sum = fid_sq = 0
         done = 0
         batch_idx = 0
         while done < cfg.trials:
             b = min(BATCH, cfg.trials - done)
             rng = _batch_rng(cfg.seed, snr_idx, batch_idx)
-            # draws are family-independent: k, tap gains, request noise,
-            # then no-request noise, in that order
+            # draws depend on J only: k, tap gains, request noise, then
+            # no-request noise, in that order
             ks = rng.integers(0, j, size=b)
-            gains = _cscg(rng, (b, len(delays))) * tap_p
-            h = gains @ tap_phases
-            z = _cscg(rng, (b, n), variance=noise_var)
-            r = math.sqrt(n) * q[ks] * h + z
-            y = np.abs(r @ q_h) ** 2
-            hits = y > beta
-            c_count += int(hits[np.arange(b), ks].sum())
-            fid_count += int(hits.sum()) - int(hits[np.arange(b), ks].sum())
-            z0 = _cscg(rng, (b, n), variance=noise_var)
-            y0 = np.abs(z0 @ q_h) ** 2
-            fa_count += int((y0 > beta).sum())
+            gains = _cscg(rng, (b, len(tap_p))) * tap_p
+            y = _noise(rng, (b, j), noise_var, colour)
+            buf = tap[:b]
+            for l in range(len(tap_p)):
+                np.take(leak[l], ks, axis=0, out=buf, mode="clip")
+                buf *= gains[:, l, None]
+                y += buf
+            hits = np.abs(y) ** 2 > beta
+            own = hits[np.arange(b), ks]
+            fid = hits.sum(axis=1) - own
+            c_count += int(own.sum())
+            fid_sum += int(fid.sum())
+            fid_sq += int((fid * fid).sum())
+            y = hits = None  # free the request outputs before the next draw
+            y = _noise(rng, (b, j), noise_var, colour)
+            fa_count += int((np.abs(y) ** 2 > beta).sum())
             done += b
             batch_idx += 1
-        cf = closed_form_metrics(q, cfg.profile, beta, phi, cfg.delta_f_hz)
-        if sigma_stats is None:
-            sigma_stats = (cf["sigma_fie_max"], cf["sigma_fie_mean"], cf["sigma_c"])
-        n_fa = cfg.trials * j
-        n_fid = cfg.trials * (j - 1)
+        t = cfg.trials
+        n_fa = t * j
+        # sample variance of the per-trial count, from exact integer sums
+        fid_var = (t * fid_sq - fid_sum * fid_sum) / (t * (t - 1))
         mc = {
             "p_fa": (fa_count / n_fa, wilson_sigma(fa_count, n_fa)),
-            "p_fid": (fid_count / n_fid, wilson_sigma(fid_count, n_fid)),
-            "p_c": (c_count / cfg.trials, wilson_sigma(c_count, cfg.trials)),
+            "p_fid": (fid_sum / (t * (j - 1)), math.sqrt(fid_var / t) / (j - 1)),
+            "p_c": (c_count / t, wilson_sigma(c_count, t)),
         }
+        cf = _closed_forms(sigma_fie, sigma_c, beta, phi)
         per_snr.append(RaSnrResult(
             snr_db=snr_db, beta=beta, mc=mc,
             closed_form={k: cf[k] for k in ("p_fa", "p_fid", "p_c")}))
+    fie_max, fie_mean = _fie_stats(sigma_fie)
     return RaResult(
         config_echo={
-            "n": n, "j": j, "kind": fam.kind, "trials": cfg.trials,
+            "n": fam.n, "j": j, "kind": fam.kind, "trials": cfg.trials,
             "seed": cfg.seed, "profile": cfg.profile.name,
             "delta_f_hz": cfg.delta_f_hz,
             "snr_db_list": [float(s) for s in cfg.snr_db_list],
             "p_fa_target": cfg.p_fa_target, "beta": cfg.beta,
         },
         per_snr=per_snr,
-        sigma_fie_max=sigma_stats[0],
-        sigma_fie_mean=sigma_stats[1],
-        sigma_c=sigma_stats[2],
+        sigma_fie_max=fie_max,
+        sigma_fie_mean=fie_mean,
+        sigma_c=sigma_c,
     )
 
 

@@ -8,6 +8,7 @@ number of leading vanishing index-power moments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -67,7 +68,9 @@ def _moment(seq: CaSequence, beta: int, twisted: bool) -> complex:
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 
+@functools.cache
 def moment_tolerance(n: int, beta: int) -> float:
+    """MOMENT_RTOL * sum_{i<n} i^beta, summed once per (n, beta)."""
     return MOMENT_RTOL * float(sum(float(i) ** beta for i in range(n)))
 
 

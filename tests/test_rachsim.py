@@ -18,6 +18,13 @@ def apma139():
     return sf.build_family("apma", cfg, decomp=decomp)
 
 
+@pytest.fixture(scope="module")
+def zc139():
+    """Two ZC roots, 15 cyclic shifts each: a non-orthogonal candidate set."""
+    cfg = sf.WaveformConfig(139, gamma=1, alpha=Fraction(33, 256))
+    return sf.build_family("zc", cfg, count=30, min_csd=9)
+
+
 class TestChannelProfile:
     def test_flat_fading(self):
         prof = rc.ChannelProfile.flat_fading()
@@ -243,6 +250,10 @@ class TestRunSimulation:
         with pytest.raises(DomainError):
             rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=10,
                            seed=1, profile=rc.ChannelProfile.flat_fading())
+        with pytest.raises(DomainError, match="trials"):
+            rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=1,
+                           seed=1, profile=rc.ChannelProfile.flat_fading(),
+                           p_fa_target=1e-2)
         with pytest.raises(DomainError):
             rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=10,
                            seed=1, profile=rc.ChannelProfile.flat_fading(),
@@ -251,3 +262,97 @@ class TestRunSimulation:
             rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=10,
                            seed=1, profile=rc.ChannelProfile.flat_fading(),
                            p_fa_target=1e-2, j_sequences=100)
+
+
+class TestCorrelatorModel:
+    def test_matches_correlating_the_tone_observation(self, zc139):
+        # the same draw of k, tap gains and N-tone noise z, pushed through the
+        # leakage tensor and through sqrt(N) q_k*h + z correlated against q
+        prof = rc.ChannelProfile.shipped("umi")
+        q = zc139.q_matrix()
+        n = q.shape[1]
+        leak, _, _ = rc._leakage(q, prof, 1250.0)
+        rng = np.random.Generator(np.random.Philox(key=[51, 52]))
+        k = int(rng.integers(0, len(q)))
+        gains = rc._cscg(rng, len(prof.delays_s)) * np.sqrt(np.asarray(prof.powers))
+        z = rc._cscg(rng, n, variance=0.5)
+        h = gains @ np.exp(-2j * np.pi * 1250.0 * np.outer(prof.delays_s, np.arange(n)))
+        tones = (math.sqrt(n) * q[k] * h + z) @ q.conj().T
+        model = np.tensordot(gains, leak[:, k, :], axes=1) + z @ q.conj().T
+        assert np.max(np.abs(model - tones)) <= 1e-12 * np.max(np.abs(tones))
+
+    def test_closed_forms_match_per_pair_loop(self, zc139):
+        # reference: the per-tap cross products and the per-k loop over i != k
+        prof = rc.ChannelProfile.shipped("umi")
+        q = zc139.q_matrix()
+        j, n = q.shape
+        ref = np.zeros((j, j))
+        for delay, p in zip(prof.delays_s, prof.powers):
+            ph = np.exp(-2j * np.pi * 1250.0 * delay * np.arange(n))
+            ref += p * n * np.abs(q.conj() @ (q * ph).T) ** 2
+        np.fill_diagonal(ref, 0.0)
+        sigma_fie, sigma_c = rc.interference_variances(q, prof, 1250.0)
+        assert np.max(np.abs(sigma_fie - ref)) <= 1e-12 * ref.max()
+        phi = 10 ** 0.2
+        beta = -math.log(1e-2) / phi
+        cf = rc.closed_form_metrics(q, prof, beta, phi)
+        for k in range(j):
+            loop = sum(math.exp(-beta * phi / (1.0 + phi * ref[i, k]))
+                       for i in range(j) if i != k) / (j - 1)
+            assert abs(cf["p_fid_per_k"][k] - loop) <= 1e-12
+        assert cf["sigma_c"] == sigma_c
+
+    @pytest.mark.parametrize("n, count, min_csd", [(139, 30, 9), (13, 20, 1)])
+    def test_coloured_noise_covariance(self, n, count, min_csd):
+        # E[w_i conj(w_j)] = var M[i, j]; each sample-covariance entry has
+        # standard error var sqrt(M_ii M_jj / T) = var / sqrt(T), and 5 of
+        # them bound the largest of J^2 entries.  (13, 20) has more
+        # sequences than tones, so M is singular and Cholesky cannot factor it.
+        cfg = sf.WaveformConfig(n, gamma=1, alpha=Fraction(33, 256))
+        q = sf.build_family("zc", cfg, count=count, min_csd=min_csd).q_matrix()
+        gram = q.conj() @ q.T
+        colour = rc._noise_colour(q)
+        assert colour is not None
+        var, draws = 0.25, 40000
+        rng = np.random.Generator(np.random.Philox(key=[53, 54]))
+        w = rc._noise(rng, (draws, len(q)), var, colour)
+        cov = w.T @ w.conj() / draws
+        assert np.max(np.abs(cov - var * gram)) < 5 * var / math.sqrt(draws)
+        assert np.max(np.abs(gram - np.eye(len(q)))) > 0.08  # not a white set
+
+    def test_orthogonal_family_takes_white_path(self, apma139, cfg_b139):
+        pma = sf.build_family("pma", cfg_b139)
+        assert rc._noise_colour(pma.q_matrix()) is None
+        assert rc._noise_colour(apma139.q_matrix()) is None
+
+    def test_common_random_numbers_across_families(self, apma139, cfg_b139):
+        # no-request outputs are the same white draws for any orthogonal
+        # family with the same J, so the false-alarm tallies coincide
+        pma = sf.build_family("pma", cfg_b139)
+        res = [rc.run_simulation(rc.RaSimConfig(
+            family=fam, snr_db_list=[0.0, 6.0], trials=3000, seed=7,
+            profile=rc.ChannelProfile.shipped("umi"), j_sequences=16,
+            p_fa_target=1e-2)) for fam in (pma, apma139)]
+        for a, b in zip(res[0].per_snr, res[1].per_snr):
+            assert a.mc["p_fa"] == b.mc["p_fa"]
+
+    def test_p_fid_sigma_tracks_spread_across_seeds(self, zc139):
+        # Under the umi profile the J - 1 false identifications of a trial
+        # share a channel draw.  Over 40 seeds, (S - 1) s^2 / sigma^2 of the
+        # p_fid estimates must fall in the 99% chi-square band with 39
+        # degrees of freedom, [19.996, 65.476], for the mean reported sigma.
+        # A binomial (Wilson) sigma over trials * (J - 1) events does not.
+        seeds, trials = 40, 100
+        est, sigma, wilson = [], [], []
+        for seed in range(1000, 1000 + seeds):
+            res = rc.run_simulation(rc.RaSimConfig(
+                family=zc139, snr_db_list=[2.0], trials=trials, seed=seed,
+                profile=rc.ChannelProfile.shipped("umi"), p_fa_target=1e-2))
+            p, sig = res.per_snr[0].mc["p_fid"]
+            events = trials * (len(zc139) - 1)
+            est.append(p)
+            sigma.append(sig)
+            wilson.append(rc.wilson_sigma(round(p * events), events))
+        spread = (seeds - 1) * np.var(est, ddof=1)
+        assert 19.996 <= spread / np.mean(sigma) ** 2 <= 65.476
+        assert spread / np.mean(wilson) ** 2 > 65.476
