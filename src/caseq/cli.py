@@ -47,16 +47,19 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]):
 
 
 def _write_manifest(args, outputs: list[Path]):
+    """Write the run's manifest.  Everything outside its "run" block is a
+    function of the command line, so reruns agree there byte for byte."""
     if not outputs:
         return
     manifest = {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.cmd,
+        "command": args.command,
         "parameters": {k: (str(v) if isinstance(v, (Fraction, Path)) else v)
-                       for k, v in sorted(vars(args).items()) if k != "func"},
+                       for k, v in sorted(vars(args).items())
+                       if k not in ("func", "command")},
         "version": __version__,
         "seed": getattr(args, "seed", None),
-        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
+        "run": {"timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()},
     }
     _write_json(outputs[0].with_suffix(outputs[0].suffix + ".manifest.json"), manifest)
 
@@ -109,9 +112,9 @@ def _build_family(args) -> seqforge.Family:
 
 def cmd_build(args) -> int:
     fam = _build_family(args)
+    report = seqverify.check_family(fam, beta_cap=args.beta_cap)
     out = Path(args.out)
     _write_json(out, seqforge.family_to_dict(fam, include_sequences=args.values))
-    report = seqverify.check_family(fam, beta_cap=min(args.beta_cap, 8))
     print(f"kind={fam.kind} N={fam.n} size={len(fam)} "
           f"sd_bound={fam.sd_order_bound} condition={fam.cfg.condition}")
     print(f"verify: ca_dev={report.ca_max_dev:.2e} "
@@ -274,10 +277,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    args.command = " ".join(argv)
     try:
         return args.func(args)
     except InfeasibleError as exc:

@@ -72,6 +72,11 @@ class WaveformConfig:
         return 1.0 + float(self.alpha)
 
 
+def _signs(n: int, gamma: int) -> np.ndarray:
+    """(-1)^(n*gamma) for n = 0..n-1, the sign carried from chi to q."""
+    return np.where((np.arange(n) * gamma) % 2 == 0, 1.0, -1.0)
+
+
 def _unit_phases(numerators: np.ndarray, denominator: int) -> np.ndarray:
     """exp(2j*pi*numerators/denominator) with the fraction reduced mod 1 first.
 
@@ -97,9 +102,7 @@ class CaSequence:
     @property
     def q(self) -> np.ndarray:
         """Transmitted vector N^(-1/2) (-1)^(n*gamma) chi[n]."""
-        n = np.arange(self.n)
-        signs = np.where((n * self.cfg.gamma) % 2 == 0, 1.0, -1.0)
-        return signs * self.chi / math.sqrt(self.n)
+        return _signs(self.n, self.cfg.gamma) * self.chi / math.sqrt(self.n)
 
 
 @dataclass
@@ -120,9 +123,17 @@ class Family:
     def n(self) -> int:
         return self.cfg.n_seq
 
+    def chi_matrix(self) -> np.ndarray:
+        """Member chi vectors stacked as rows (len(family) x N)."""
+        return np.vstack([s.chi for s in self.sequences])
+
     def q_matrix(self) -> np.ndarray:
-        """Member q vectors stacked as rows (len(family) x N)."""
-        return np.vstack([s.q for s in self.sequences])
+        """Member q vectors stacked as rows (len(family) x N): the same
+        operations as CaSequence.q, in place on the stacked chi."""
+        q = self.chi_matrix()
+        q *= _signs(self.n, self.cfg.gamma)
+        q /= math.sqrt(self.n)
+        return q
 
 
 @dataclass(frozen=True)
@@ -479,8 +490,7 @@ def build_zc_sequence(root: int, n: int, cfg: WaveformConfig | None = None) -> C
         zc = _unit_phases(-root * (k * (k + 1) // 2), n)
     else:
         zc = _unit_phases(-root * k * k, 2 * n)
-    signs = np.where((k * cfg.gamma) % 2 == 0, 1.0, -1.0)
-    return CaSequence(signs * zc, cfg, meta={"kind": "zc", "root": root})
+    return CaSequence(_signs(n, cfg.gamma) * zc, cfg, meta={"kind": "zc", "root": root})
 
 
 def build_multiroot_zc_family(cfg: WaveformConfig, count: int, min_csd: int,
@@ -549,7 +559,7 @@ def build_pn_family(cfg: WaveformConfig, count: int, min_csd: int) -> Family:
             f"{count} members at spacing {min_csd} exceed the register period")
     bits = m_sequence()
     idx = np.arange(n)
-    signs = np.where((idx * cfg.gamma) % 2 == 0, 1.0, -1.0)
+    signs = _signs(n, cfg.gamma)
     seqs = []
     for k in range(count):
         offset = k * min_csd

@@ -190,6 +190,31 @@ def test_kappa_missing_for_adpma_exits_2_with_one_line(tmp_path):
                                    "--out", str(tmp_path / "out.json")])
 
 
+@pytest.mark.parametrize("beta_cap", ["-1", "9"])
+@pytest.mark.parametrize("cmd", ["build", "verify"])
+def test_beta_cap_outside_domain_exits_2_with_one_line(family48, tmp_path, cmd, beta_cap):
+    out = tmp_path / "out.json"
+    argv = (["build", "--n", "48", "--kind", "pma", "--alpha", "1/2", "--gamma", "2",
+             "--out", str(out)] if cmd == "build" else ["verify", "--family", str(family48)])
+    _assert_exits_2_with_one_line([*argv, "--beta-cap", beta_cap])
+    assert not out.exists()
+
+
+def test_rerun_manifest_identical_outside_run_block(tmp_path):
+    out = tmp_path / "fam.json"
+    manifest = tmp_path / "fam.json.manifest.json"
+    argv = ["build", "--n", "48", "--kind", "dpma", "--kappa", "2", "--alpha", "1/2",
+            "--gamma", "2", "--out", str(out)]
+    parts = []
+    for _ in range(2):
+        assert run(argv) == 0
+        data = json.loads(manifest.read_text())
+        assert set(data.pop("run")) == {"timestamp_utc"}
+        assert data["command"] == " ".join(argv)
+        parts.append(json.dumps(data, indent=2, sort_keys=True).encode())
+    assert parts[0] == parts[1]
+
+
 def _assert_exits_2_with_one_line(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -217,6 +217,15 @@ class TestFamilies:
         with pytest.raises(DomainError, match="kappa"):
             sf.build_family(kind, cfg_b139, kappa=kappa)
 
+    def test_q_matrix_bit_identical_to_member_q(self, cfg_a48, cfg_b139):
+        decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
+        for fam in (sf.build_family("dpma", cfg_a48, kappa=2),
+                    sf.build_family("apma", cfg_b139, decomp=decomp)):
+            stacked = np.vstack([s.q for s in fam.sequences])
+            assert fam.q_matrix().tobytes() == stacked.tobytes()
+            assert fam.chi_matrix().tobytes() == np.vstack(
+                [s.chi for s in fam.sequences]).tobytes()
+
     def test_unknown_kind(self, cfg_a48):
         with pytest.raises(DomainError):
             sf.build_family("yl", cfg_a48)

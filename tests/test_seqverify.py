@@ -145,3 +145,147 @@ class TestCheckFamily:
         data = rep.to_dict()
         assert set(data) >= {"ca_max_dev", "zac_max_offpeak", "gram_max_offdiag",
                              "measured_sd_order", "condition"}
+
+
+def _fsum_moment(seq, beta, twisted):
+    """Reference moment: sum_n w[n] n^beta chi[n] in exact partial sums."""
+    n = np.arange(seq.n, dtype=np.float64)
+    vals = (n ** beta) * seq.chi
+    if twisted:
+        ag = seq.cfg.alpha_gamma
+        frac = (np.arange(seq.n, dtype=np.int64) * ag.numerator) % ag.denominator
+        vals = vals * np.exp(-2j * np.pi * (frac / ag.denominator))
+    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+
+
+def _oracle_sd_order(seq, beta_cap):
+    """Reference decay order: one member, one exponent at a time, fsum moments."""
+    twisted = seq.cfg.condition == "B"
+    last = 0.0
+    for beta in range(beta_cap + 1):
+        mags = [abs(_fsum_moment(seq, beta, False))]
+        if twisted:
+            mags.append(abs(_fsum_moment(seq, beta, True)))
+        if max(mags) > sv.moment_tolerance(seq.n, beta):
+            return beta, False, max(mags)
+        last = max(mags)
+    return beta_cap + 1, True, last
+
+
+def _oracle_zac(seq):
+    """Reference autocorrelation check: three FFTs of one member."""
+    q_t = np.fft.ifft(seq.q) * math.sqrt(seq.n)  # unitary inverse DFT
+    corr = np.fft.ifft(np.abs(np.fft.fft(q_t)) ** 2)
+    return float(np.max(np.abs(corr[1:])))
+
+
+def _moment_bound(n, beta):
+    """The module's stated float bound, N u sum n^beta."""
+    return n * np.finfo(np.float64).eps / 2 * sum(float(i) ** beta for i in range(n))
+
+
+_A48 = sf.WaveformConfig(48, gamma=2, alpha=Fraction(1, 2))
+_B48 = sf.WaveformConfig(48, gamma=1, alpha=Fraction(33, 256))
+_B139 = sf.WaveformConfig(139, gamma=1, alpha=Fraction(33, 256))
+_D139 = fl.Decomposition.from_parts(139, (50, 45, 44))
+
+FAMILIES = {
+    "pma": lambda: sf.build_family("pma", _A48),
+    "pma_condition_b": lambda: sf.build_family("pma", _B48),
+    "dpma": lambda: sf.build_family("dpma", _A48, kappa=2),
+    "near_dpma": lambda: sf.build_family("near_dpma", _A48, kappa=3),
+    "hat_pma": lambda: sf.build_family("hat_pma", _B139, decomp=_D139),
+    "hat_dpma": lambda: sf.build_family("hat_dpma", _B139, kappa=1, decomp=_D139),
+    "apma": lambda: sf.build_family("apma", _B139, decomp=_D139),
+    "adpma": lambda: sf.build_family("adpma", _B139, kappa=1, decomp=_D139),
+    "zc": lambda: sf.build_family("zc", _B139, count=8, min_csd=34),
+    "pn": lambda: sf.build_family("pn", _B139, count=8, min_csd=26),
+    "apma_count": lambda: sf.build_family("apma", _B139, decomp=_D139, count=5),
+}
+
+
+def _mixed_family():
+    """pma48: a member, the other one doubled (not CA), and the first one
+    bent so that its order breaks at 2."""
+    seqs = sf.build_family("pma", _A48).sequences
+    bend = np.zeros(48)
+    bend[19:22] = (1e-2, -2e-2, 1e-2)  # kills no moment below beta = 2
+    members = [seqs[0], CaSequence(2.0 * seqs[1].chi, _A48),
+               CaSequence(seqs[0].chi + bend, _A48)]
+    return sf.Family(sequences=members, kind="pma", cfg=_A48, sd_order_bound=0)
+
+
+class TestBatchedVerifier:
+    @pytest.mark.parametrize("beta_cap", [2, 6])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_family_matches_per_member_oracle(self, name, beta_cap):
+        fam = FAMILIES[name]()
+        rep = sv.check_family(fam, beta_cap=beta_cap)
+        oracle = [_oracle_sd_order(s, beta_cap) for s in fam.sequences]
+        assert rep.measured_sd_order == min(o[0] for o in oracle)
+        assert rep.sd_order_capped == any(o[1] for o in oracle)
+        assert (rep.condition, rep.size) == (fam.cfg.condition, len(fam.sequences))
+        for seq, (order, capped, _) in zip(fam.sequences, oracle):
+            assert sv.measure_sd_order(seq, beta_cap)[:2] == (order, capped)
+
+    @pytest.mark.parametrize("beta_cap", [3, 6])
+    def test_mixed_family_takes_minimum_and_capped_over_members(self, beta_cap):
+        fam = _mixed_family()
+        rep = sv.check_family(fam, beta_cap=beta_cap)
+        oracle = [_oracle_sd_order(s, beta_cap) for s in fam.sequences]
+        assert [o[0] for o in oracle] == [min(5, beta_cap + 1)] * 2 + [2]
+        assert rep.measured_sd_order == 2
+        assert rep.sd_order_capped == any(o[1] for o in oracle) == (beta_cap < 5)
+        assert abs(rep.ca_max_dev - 1.0) < 1e-12
+        for seq, (order, capped, mag) in zip(fam.sequences, oracle):
+            got = sv.measure_sd_order(seq, beta_cap)
+            assert got[:2] == (order, capped)
+            assert abs(got[2] - mag) <= _moment_bound(48, min(order, beta_cap))
+
+    @pytest.mark.parametrize("n,kind,kappa,parts", [
+        (839, "pma", 0, None), (1151, "adpma", 1, (468, 440, 243))])
+    def test_moments_within_stated_bound_of_fsum(self, n, kind, kappa, parts):
+        cfg = sf.WaveformConfig(n, gamma=1, alpha=Fraction(33, 256))
+        decomp = None if parts is None else fl.Decomposition.from_parts(n, parts)
+        fam = sf.build_family(kind, cfg, kappa=kappa, decomp=decomp)
+        moments = sv._moments(fam.chi_matrix(), cfg, sv.DEFAULT_BETA_CAP)
+        assert moments.shape == (len(fam), 2, sv.DEFAULT_BETA_CAP + 1)
+        for beta in range(sv.DEFAULT_BETA_CAP + 1):
+            bound = _moment_bound(n, beta)
+            for twisted in (False, True):
+                ref = np.array([_fsum_moment(s, beta, twisted) for s in fam.sequences])
+                gap = np.abs(moments[:, int(twisted), beta] - ref)
+                assert gap.max() <= bound, (beta, twisted, gap.max() / bound)
+
+    @pytest.mark.parametrize("name", ["pma", "dpma", "hat_dpma", "adpma", "zc", "pn"])
+    def test_batched_zac_matches_three_fft_check(self, name):
+        fam = FAMILIES[name]()
+        _, zac = sv._amplitude_checks(fam.chi_matrix())
+        for seq, got in zip(fam.sequences, zac):
+            ref = _oracle_zac(seq)
+            assert abs(got - ref) <= 1e-15
+            assert sv.check_zac(seq) == got
+
+    def test_batched_zac_flags_perturbed_member(self, cfg_b139):
+        fam = sf.build_family("apma", cfg_b139, decomp=_D139)
+        chi = fam.chi_matrix()
+        chi[3, 10] *= 1.01
+        _, zac = sv._amplitude_checks(chi)
+        bent = CaSequence(chi[3], cfg_b139)
+        assert abs(zac[3] - _oracle_zac(bent)) <= 1e-15
+        assert zac[3] > 1e-9 * 139
+        assert np.delete(zac, 3).max() <= 1e-9 * 139
+
+    @pytest.mark.parametrize("beta_cap", [-1, 9])
+    def test_beta_cap_outside_domain_raises(self, cfg_a48, beta_cap):
+        fam = sf.build_family("pma", cfg_a48)
+        with pytest.raises(fl.DomainError):
+            sv.check_family(fam, beta_cap=beta_cap)
+        with pytest.raises(fl.DomainError):
+            sv.measure_sd_order(fam.sequences[0], beta_cap=beta_cap)
+
+    @pytest.mark.parametrize("beta_cap", [0, 8])
+    def test_beta_cap_domain_ends(self, cfg_a48, beta_cap):
+        fam = sf.build_family("pma", cfg_a48)
+        rep = sv.check_family(fam, beta_cap=beta_cap)
+        assert rep.measured_sd_order == min(5, beta_cap + 1)
