@@ -288,41 +288,49 @@ def pattern_codeword_sets(pattern: Sequence[int]) -> Iterator[tuple[tuple[int, .
     yield from rec(0, ())
 
 
+#: Most set partitions S(omega, omega - kappa) one exhaustive search may enumerate.
+MAX_SEARCH_PARTITIONS = 50_000
+
+
+@lru_cache(maxsize=None)
+def _partition_skeleton(omega: int, level: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Set partitions of the prime positions 0..omega-1 into ``level`` blocks,
+    from weight patterns, codeword sets and codeword conversion; they do not
+    depend on the primes, so one enumeration serves every n of that omega."""
+    found = {tuple(sorted(tuple(m for m, bit in enumerate(cw) if bit)
+                          for cw in codeword_conversion(cwset)))
+             for pattern in integer_partitions(omega, level)
+             for cwset in pattern_codeword_sets(pattern)}
+    return tuple(sorted(found))
+
+
 def _factor_multisets(pf: PrimeFactorization, level: int) -> set[tuple[int, ...]]:
     """All distinct factor multisets of n with exactly ``level`` factors."""
-    found: set[tuple[int, ...]] = set()
-    for pattern in integer_partitions(pf.omega, level):
-        for cwset in pattern_codeword_sets(pattern):
-            full = codeword_conversion(cwset)
-            factors = tuple(
-                sorted(
-                    math.prod(p for p, bit in zip(pf.primes, cw) if bit)
-                    for cw in full
-                )
-            )
-            found.add(factors)
-    return found
+    return {tuple(sorted(math.prod(pf.primes[m] for m in block) for block in blocks))
+            for blocks in _partition_skeleton(pf.omega, level)}
 
 
 def exclusive_search_proper(pf: PrimeFactorization, kappa: int) -> FactorSet:
     """Exhaustive search for a level-(omega-kappa) factor set of maximum
     family size.
 
-    Enumerates weight patterns, realizes each through fixed-weight codeword
-    sets and codeword conversion, deduplicates factor multisets, and keeps
-    the one maximizing prod(A_m - 1); ties go to the lexicographically
-    smallest sorted multiset.
+    Keeps the factor multiset maximizing prod(A_m - 1) over the cached
+    partition skeleton, ties to the lexicographically smallest; more than
+    MAX_SEARCH_PARTITIONS partitions are refused before enumerating.
     """
     if not 1 <= kappa <= pf.omega - 1:
         raise DomainError(f"kappa must be in [1, {pf.omega - 1}], got {kappa}")
     level = pf.omega - kappa
-    best: tuple[int, ...] | None = None
-    best_size = -1
-    for factors in sorted(_factor_multisets(pf, level)):
-        size = math.prod(a - 1 for a in factors)
-        if size > best_size:
-            best, best_size = factors, size
-    assert best is not None
+    # the Stirling number S(omega, level) of set partitions to enumerate
+    partitions = sum((-1) ** j * math.comb(level, j) * (level - j) ** pf.omega
+                     for j in range(level + 1)) // math.factorial(level)
+    if partitions > MAX_SEARCH_PARTITIONS:
+        raise DomainError(
+            f"exhaustive search of n={pf.n} at kappa={kappa} spans {partitions} "
+            f"prime groupings, above the limit {MAX_SEARCH_PARTITIONS}")
+    # max keeps the first of equal sizes: the smallest in sorted order
+    best = max(sorted(_factor_multisets(pf, level)),
+               key=lambda factors: math.prod(a - 1 for a in factors))
     return FactorSet(pf.n, best, kappa=kappa)
 
 

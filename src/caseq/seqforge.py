@@ -147,42 +147,40 @@ class RotationSolution:
     epsilon: float
 
 
-def _phase_numerators(digits: list[np.ndarray], bases: Sequence[int],
-                      nu: Sequence[int], weights: Sequence[int],
-                      cfg: WaveformConfig) -> tuple[np.ndarray, int]:
-    """Integer numerators of phase/(2*pi) over a common denominator."""
+def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]], cfg: WaveformConfig,
+                weights: Sequence[int] | None = None) -> np.ndarray:
+    """chi of every index vector in nus as the rows of one matrix, with the
+    phases of build_g_sequence over digit weights (default phi_m) kept as
+    integer numerators over one common denominator until the exp call."""
+    if weights is None:
+        weights = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
+    nu = np.array(nus)
+    if (nu.dtype.kind not in "iu" or nu.shape != (len(nus), len(factors))
+            or not ((nu >= 1) & (nu < np.array(factors))).all()):
+        raise DomainError(f"index vectors need one integer in [1, A - 1] per factor A "
+                          f"of {tuple(factors)}")
     ag, twisted = cfg.alpha_gamma, cfg.condition == "B"
-    denom = math.lcm(*bases, ag.denominator if twisted else 1)
-    numer = np.zeros(len(digits[0]), dtype=np.int64)
-    for m, (l_m, a_m, v_m) in enumerate(zip(digits, bases, nu)):
-        numer += (v_m * (denom // a_m)) * l_m
-        if twisted and m % 2 == 1:
-            numer += (ag.numerator * (denom // ag.denominator) * weights[m]) * l_m
-    return numer, denom
+    denom = math.lcm(*factors, ag.denominator if twisted else 1)
+    n_index = np.arange(math.prod(factors))
+    digits = np.array([(n_index // w) % a for w, a in zip(weights, factors)])
+    # numerator coefficient of digit l_m in row j: nu_jm * denom/A_m plus the twist
+    twist = [ag.numerator * (denom // ag.denominator) * w if twisted and m % 2 else 0
+             for m, w in enumerate(weights)]
+    coef = nu.astype(np.int64) * [denom // a for a in factors] + twist
+    chi = np.empty((len(nus), len(n_index)), dtype=complex)
+    rows = max(1, 2 ** 16 // len(n_index))  # keeps each block's transients near 1 MiB
+    for lo in range(0, len(nus), rows):
+        chi[lo:lo + rows] = _unit_phases(coef[lo:lo + rows] @ digits, denom)
+    return chi
 
 
-def _validate_nu(nu: Sequence[int], bases: Sequence[int]):
-    if len(nu) != len(bases):
-        raise DomainError(f"index vector length {len(nu)} != {len(bases)} factors")
-    for v, a in zip(nu, bases):
-        if not 1 <= v <= a - 1:
-            raise DomainError(f"index {v} outside [1, {a - 1}]")
-
-
-def _build_chi(factors: Sequence[int], nu: Sequence[int], weights: Sequence[int],
-               cfg: WaveformConfig, length: int) -> np.ndarray:
-    _validate_nu(nu, factors)
-    n_index = np.arange(length)
-    digits = [(n_index // w) % b for w, b in zip(weights, factors)]
-    numer, denom = _phase_numerators(digits, factors, nu, weights, cfg)
-    return _unit_phases(numer, denom)
-
-
-def _g_chi(factors: Sequence[int], nu: Sequence[int],
-           cfg: WaveformConfig) -> np.ndarray:
-    """chi over descending factors, digit weights phi_0 = 1, phi_m = prod(factors[:m])."""
-    weights = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
-    return _build_chi(factors, nu, weights, cfg, math.prod(factors))
+def _flat_members(kind: str, factors: tuple[int, ...], nus: Sequence[Sequence[int]],
+                  cfg: WaveformConfig, weights: Sequence[int] | None = None) -> list[CaSequence]:
+    """One member per index vector, each holding a row of one phase matrix."""
+    if math.prod(factors) != cfg.n_seq:
+        raise DomainError(f"factors multiply to {math.prod(factors)}, config says {cfg.n_seq}")
+    return [CaSequence(row, cfg, meta={"kind": kind, "factors": list(factors), "nu": list(nu)})
+            for row, nu in zip(_phase_rows(factors, nus, cfg, weights), nus)]
 
 
 def build_g_sequence(factors: Sequence[int], nu: Sequence[int],
@@ -197,11 +195,7 @@ def build_g_sequence(factors: Sequence[int], nu: Sequence[int],
     factors = tuple(factors)
     if list(factors) != sorted(factors, reverse=True):
         raise DomainError("factors must be sorted descending")
-    n = math.prod(factors)
-    if n != cfg.n_seq:
-        raise DomainError(f"factors multiply to {n}, config says {cfg.n_seq}")
-    return CaSequence(_g_chi(factors, nu, cfg), cfg, meta={
-        "kind": "g", "factors": list(factors), "nu": list(nu)})
+    return _flat_members("g", factors, [nu], cfg)[0]
 
 
 def build_i_sequence(factors: Sequence[int], nu: Sequence[int],
@@ -212,12 +206,34 @@ def build_i_sequence(factors: Sequence[int], nu: Sequence[int],
     if list(factors) != sorted(factors):
         raise DomainError("factors must be sorted ascending")
     n = math.prod(factors)
-    if n != cfg.n_seq:
-        raise DomainError(f"factors multiply to {n}, config says {cfg.n_seq}")
     weights = [n // math.prod(factors[:m + 1]) for m in range(len(factors))]
-    chi = _build_chi(factors, nu, weights, cfg, n)
-    return CaSequence(chi, cfg, meta={
-        "kind": "i", "factors": list(factors), "nu": list(nu)})
+    return _flat_members("i", factors, [nu], cfg, weights)[0]
+
+
+def _hat_members(parts: Sequence[int], per_part_factors: Sequence[Sequence[int]],
+                 nu_sets: Sequence[Sequence[Sequence[int]]], cfg: WaveformConfig,
+                 rotation: Sequence[float] | None = None) -> list[CaSequence]:
+    """One concatenated member per entry of nu_sets (one index vector per
+    part); each part is one block of columns of a single phase matrix."""
+    if sum(parts) != cfg.n_seq:
+        raise DomainError(f"decomposition of {sum(parts)}, config says {cfg.n_seq}")
+    if len(per_part_factors) != len(parts) or any(len(s) != len(parts) for s in nu_sets):
+        raise DomainError("need one factor set and one index vector per part")
+    factor_sets = [sorted(f, reverse=True) for f in per_part_factors]
+    blocks = []
+    for rho, (part, factors) in enumerate(zip(parts, factor_sets)):
+        if math.prod(factors) != part:
+            raise DomainError(f"part {part} != product of {tuple(factors)}")
+        block = _phase_rows(factors, [s[rho] for s in nu_sets], cfg)
+        if rotation is not None:
+            block = block * np.exp(1j * rotation[rho])
+        blocks.append(block)
+    return [CaSequence(row, cfg, meta={
+        "kind": "hat", "parts": list(parts),
+        "factor_sets": [list(f) for f in factor_sets],
+        "nu": [list(v) for v in nu_set],
+        "rotation": None if rotation is None else [float(t) for t in rotation]})
+        for row, nu_set in zip(np.concatenate(blocks, axis=1), nu_sets)]
 
 
 def build_hat_sequence(decomp: Decomposition,
@@ -232,28 +248,7 @@ def build_hat_sequence(decomp: Decomposition,
     rho by exp(1j*theta_rho).  The alternating sign in q uses the absolute
     index across the concatenation.
     """
-    if decomp.n != cfg.n_seq:
-        raise DomainError(f"decomposition of {decomp.n}, config says {cfg.n_seq}")
-    if len(per_part_factors) != len(decomp.parts) or len(per_part_nu) != len(decomp.parts):
-        raise DomainError("need one factor set and one index vector per part")
-    pieces = []
-    for rho, (part, factors, nu) in enumerate(
-            zip(decomp.parts, per_part_factors, per_part_nu)):
-        factors = tuple(sorted(factors, reverse=True))
-        if math.prod(factors) != part:
-            raise DomainError(f"part {part} != product of {factors}")
-        chi_part = _g_chi(factors, nu, cfg)
-        if rotation is not None:
-            chi_part = chi_part * np.exp(1j * rotation[rho])
-        pieces.append(chi_part)
-    chi = np.concatenate(pieces)
-    return CaSequence(chi, cfg, meta={
-        "kind": "hat",
-        "parts": list(decomp.parts),
-        "factor_sets": [sorted(f, reverse=True) for f in per_part_factors],
-        "nu": [list(v) for v in per_part_nu],
-        "rotation": None if rotation is None else [float(t) for t in rotation],
-    })
+    return _hat_members(decomp.parts, per_part_factors, [per_part_nu], cfg, rotation)[0]
 
 
 def _nu_vectors(factors: Sequence[int]) -> list[tuple[int, ...]]:
@@ -309,9 +304,9 @@ def _sd_bound(level: int, cfg: WaveformConfig) -> int:
 def _build_flat_family(kind: str, fs: FactorSet, cfg: WaveformConfig) -> Family:
     factors = fs.sorted_descending()
     nus = _nu_vectors(factors)
-    seqs = [build_g_sequence(factors, nu, cfg) for nu in nus]
     return Family(
-        sequences=seqs, kind=kind, cfg=cfg,
+        sequences=_flat_members("g", factors, nus, cfg),
+        kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(len(factors), cfg),
         family_csd=fs.family_csd,
         meta={"factor_set": list(factors), "kappa": fs.kappa,
@@ -323,12 +318,10 @@ def _build_hat_family(kind: str, decomp: Decomposition,
                       factor_sets: list[FactorSet], cfg: WaveformConfig,
                       kappa: int) -> Family:
     per_part_factors = [fs.sorted_descending() for fs in factor_sets]
-    per_part_nus = [_nu_vectors(f) for f in per_part_factors]
     # member i takes the i-th index vector of every part
-    chosen = [[list(v) for v in nu_set] for nu_set in zip(*per_part_nus)]
+    chosen = [[list(v) for v in nu_set] for nu_set in zip(*map(_nu_vectors, per_part_factors))]
     return Family(
-        sequences=[build_hat_sequence(decomp, per_part_factors, nu_set, cfg)
-                   for nu_set in chosen],
+        sequences=_hat_members(decomp.parts, per_part_factors, chosen, cfg),
         kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(decomp.min_omega - kappa, cfg),
         family_csd=None,
@@ -433,9 +426,8 @@ def augment_family(base: Family) -> Family:
     # reproduces the rotated members bit for bit
     theta_deg = [math.degrees(t) for t in sol.theta]
     theta = [math.radians(d) for d in theta_deg]
-    decomp = Decomposition(base.n, parts, mpo=0)
-    rotated = [build_hat_sequence(decomp, base.meta["factor_sets"], nu_set, base.cfg,
-                                  rotation=theta) for nu_set in base.meta["nu_vectors"]]
+    rotated = _hat_members(parts, base.meta["factor_sets"], base.meta["nu_vectors"],
+                           base.cfg, rotation=theta)
     new_kind = "apma" if base.kind == "hat_pma" else "adpma"
     meta = dict(base.meta)
     meta["theta_degrees"] = theta_deg

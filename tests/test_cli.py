@@ -200,6 +200,12 @@ def test_beta_cap_outside_domain_exits_2_with_one_line(family48, tmp_path, cmd, 
     assert not out.exists()
 
 
+def test_oversized_exhaustive_search_exits_2_with_one_line():
+    # omega(4096) = 12: S(12, 6) ~ 1.3e6 prime groupings, refused before enumerating
+    _assert_exits_2_with_one_line(["factorize", "--n", "4096", "--kappa", "6",
+                                   "--mode", "exhaustive"])
+
+
 def test_rerun_manifest_identical_outside_run_block(tmp_path):
     out = tmp_path / "fam.json"
     manifest = tmp_path / "fam.json.manifest.json"

@@ -268,6 +268,70 @@ class TestNearProper:
             fl.near_proper_factorization(pf, pf.omega - 1)
 
 
+def _oracle_factor_multisets(pf, level):
+    """Oracle: the paper's enumeration run afresh for one n, with weight
+    patterns, codeword sets and codeword conversion over its own primes."""
+    found = set()
+    for pattern in fl.integer_partitions(pf.omega, level):
+        for cwset in fl.pattern_codeword_sets(pattern):
+            full = fl.codeword_conversion(cwset)
+            found.add(tuple(sorted(
+                math.prod(p for p, bit in zip(pf.primes, cw) if bit) for cw in full)))
+    return found
+
+
+@lru_cache(maxsize=None)
+def _stirling2_recurrence(n, k):
+    """S(n, k) by S(n, k) = k S(n-1, k) + S(n-1, k-1), independent of the library."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2_recurrence(n - 1, k) + _stirling2_recurrence(n - 1, k - 1)
+
+
+class TestPartitionSkeleton:
+    def test_matches_per_length_enumeration(self):
+        checked = 0
+        for n in range(2, 1000):
+            pf = fl.prime_factorize(n)
+            if not 2 <= pf.omega <= 7:
+                continue
+            for kappa in range(1, pf.omega):
+                level = pf.omega - kappa
+                assert fl._factor_multisets(pf, level) == _oracle_factor_multisets(pf, level), \
+                    (n, kappa)
+                checked += 1
+        assert checked > 1500
+
+    @pytest.mark.parametrize("omega", range(1, 9))
+    def test_sizes_are_stirling_numbers(self, omega):
+        for level in range(1, omega + 1):
+            skeleton = fl._partition_skeleton(omega, level)
+            assert len(skeleton) == _stirling2_recurrence(omega, level)
+            assert len(set(skeleton)) == len(skeleton)
+            for blocks in skeleton:
+                assert sorted(m for block in blocks for m in block) == list(range(omega))
+
+    def test_cache_can_be_cleared(self):
+        # the benchmark empties every memo cache between passes
+        fl._partition_skeleton(4, 2)
+        fl._partition_skeleton.cache_clear()
+        assert fl._partition_skeleton.cache_info().currsize == 0
+
+    def test_oversized_search_refused_before_enumerating(self):
+        pf = fl.prime_factorize(2 ** 11)  # S(11, 5) = 246730 groupings at kappa 6
+        assert _stirling2_recurrence(11, 5) > fl.MAX_SEARCH_PARTITIONS
+        fl._partition_skeleton.cache_clear()
+        with pytest.raises(DomainError, match="limit"):
+            fl.exclusive_search_proper(pf, 6)
+        with pytest.raises(DomainError, match="limit"):
+            fl.factor_set(4096, 6, "exhaustive")
+        assert fl._partition_skeleton.cache_info().currsize == 0
+        # the closed form needs no enumeration and stays available
+        assert fl.factor_set(2 ** 11, 1).family_size == 3
+
+
 @lru_cache(maxsize=None)
 def _oracle_mpo(n: int) -> int:
     """Memoized depth-first search over non-increasing partitions; an

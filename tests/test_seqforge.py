@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -229,6 +230,126 @@ class TestFamilies:
     def test_unknown_kind(self, cfg_a48):
         with pytest.raises(DomainError):
             sf.build_family("yl", cfg_a48)
+
+
+def _oracle_phase_numerators(digits, bases, nu, weights, cfg):
+    """Reference: integer numerators of one member, summed digit by digit."""
+    ag, twisted = cfg.alpha_gamma, cfg.condition == "B"
+    denom = math.lcm(*bases, ag.denominator if twisted else 1)
+    numer = np.zeros(len(digits[0]), dtype=np.int64)
+    for m, (l_m, a_m, v_m) in enumerate(zip(digits, bases, nu)):
+        numer += (v_m * (denom // a_m)) * l_m
+        if twisted and m % 2 == 1:
+            numer += (ag.numerator * (denom // ag.denominator) * weights[m]) * l_m
+    return numer, denom
+
+
+def _oracle_chi(factors, nu, weights, cfg):
+    """Reference: chi of one member built on its own, not as a matrix row."""
+    n_index = np.arange(math.prod(factors))
+    digits = [(n_index // w) % b for w, b in zip(weights, factors)]
+    numer, denom = _oracle_phase_numerators(digits, factors, nu, weights, cfg)
+    frac = np.mod(numer, denom)
+    return np.exp(2j * np.pi * (frac / denom))
+
+
+def _oracle_g_chi(factors, nu, cfg):
+    weights = [math.prod(factors[:m]) for m in range(len(factors))]
+    return _oracle_chi(factors, nu, weights, cfg)
+
+
+def _all_nus(factors):
+    return list(itertools.product(*(range(1, a) for a in factors)))
+
+
+def _oracle_family(kind, cfg, kappa, decomp, count):
+    """Reference: (chi, meta) per member and the family meta, member by member."""
+    if decomp is None:
+        mode = "near" if kind == "near_dpma" else "proper"
+        factors = fl.factor_set(cfg.n_seq, kappa, mode).sorted_descending()
+        nus = _all_nus(factors)
+        members = [(_oracle_g_chi(factors, nu, cfg),
+                    {"kind": "g", "factors": list(factors), "nu": list(nu)}) for nu in nus]
+        meta = {"factor_set": list(factors), "kappa": kappa,
+                "nu_vectors": [list(v) for v in nus]}
+        return members[:count], meta
+    sets = [list(fl.factor_set(p, kappa).sorted_descending()) for p in decomp.parts]
+    chosen = [[list(v) for v in nu_set] for nu_set in zip(*map(_all_nus, sets))]
+    meta = {"decomposition": list(decomp.parts), "factor_sets": sets, "kappa": kappa,
+            "nu_vectors": chosen, "no_sd_gain": fl.mpo_value(decomp.n) == fl.omega(decomp.n)}
+    rotations = [None]
+    if kind in ("apma", "adpma"):
+        sol = sf.solve_rotation(decomp.parts)
+        meta["theta_degrees"] = [math.degrees(t) for t in sol.theta]
+        meta["rotation_residual"] = sol.residual
+        rotations.append([math.radians(d) for d in meta["theta_degrees"]])
+    members = []
+    for rotation in rotations:
+        for nu_set in chosen:
+            pieces = [_oracle_g_chi(f, nu, cfg) for f, nu in zip(sets, nu_set)]
+            if rotation is not None:
+                pieces = [p * np.exp(1j * t) for p, t in zip(pieces, rotation)]
+            members.append((np.concatenate(pieces), {
+                "kind": "hat", "parts": list(decomp.parts), "factor_sets": sets,
+                "nu": nu_set, "rotation": rotation}))
+    return members[:count], meta
+
+
+COND_A = dict(gamma=2, alpha=Fraction(1, 2))
+COND_B = dict(gamma=1, alpha=Fraction(33, 256))
+
+
+class TestMatrixBuildBitIdentical:
+    """Families built as one phase matrix equal the member-by-member build
+    bit for bit: chi, per-member meta, family meta and the exported JSON."""
+
+    @pytest.mark.parametrize("cond", [COND_A, COND_B], ids=["A", "B"])
+    @pytest.mark.parametrize("kind,n,kappa,parts,count", [
+        ("pma", 144, 0, None, None),
+        ("dpma", 144, 1, None, None),
+        ("dpma", 144, 2, None, 5),
+        ("dpma", 720, 2, None, None),  # 144 x 720 entries: more than one row block
+        ("near_dpma", 288, 4, None, None),
+        ("hat_pma", 139, 0, (50, 45, 44), None),
+        ("hat_dpma", 139, 1, (50, 45, 44), None),
+        ("apma", 139, 0, (50, 45, 44), None),
+        ("adpma", 139, 1, (50, 45, 44), None),
+        ("adpma", 139, 1, (50, 45, 44), 37),
+        ("hat_dpma", 571, 2, (225, 196, 150), None),
+    ])
+    def test_family_matches_member_by_member_oracle(self, cond, kind, n, kappa, parts, count):
+        cfg = sf.WaveformConfig(n_seq=n, **cond)
+        decomp = None if parts is None else fl.Decomposition.from_parts(n, parts)
+        fam = sf.build_family(kind, cfg, kappa=kappa, decomp=decomp, count=count)
+        members, meta = _oracle_family(kind, cfg, kappa, decomp, count)
+        assert fam.meta == meta
+        assert len(fam) == len(members)
+        for seq, (chi, member_meta) in zip(fam.sequences, members):
+            assert seq.chi.tobytes() == chi.tobytes()
+            assert seq.meta == member_meta
+        oracle = dataclasses.replace(fam, meta=meta, sequences=[
+            sf.CaSequence(chi, cfg, member_meta) for chi, member_meta in members])
+        assert (sf.family_to_dict(fam, include_sequences=True)
+                == sf.family_to_dict(oracle, include_sequences=True))
+        # q_matrix scales chi_matrix in place, so the members must stay untouched
+        assert fam.q_matrix().tobytes() == np.vstack([s.q for s in fam.sequences]).tobytes()
+        assert all(seq.chi.tobytes() == chi.tobytes()
+                   for seq, (chi, _) in zip(fam.sequences, members))
+
+    @pytest.mark.parametrize("cond", [COND_A, COND_B], ids=["A", "B"])
+    @pytest.mark.parametrize("factors", [(2, 2, 3), (2, 3, 4, 5), (2, 2, 2, 3, 3, 5)])
+    def test_single_sequences_match_oracle(self, cond, factors):
+        n = math.prod(factors)
+        cfg = sf.WaveformConfig(n_seq=n, **cond)
+        weights = [n // math.prod(factors[:m + 1]) for m in range(len(factors))]
+        descending = tuple(reversed(factors))
+        for nu in _all_nus(factors)[::7]:
+            seq = sf.build_i_sequence(factors, nu, cfg)
+            assert seq.chi.tobytes() == _oracle_chi(factors, nu, weights, cfg).tobytes()
+            assert seq.meta == {"kind": "i", "factors": list(factors), "nu": list(nu)}
+            seq = sf.build_g_sequence(descending, nu[::-1], cfg)
+            assert seq.chi.tobytes() == _oracle_g_chi(descending, nu[::-1], cfg).tobytes()
+            assert seq.meta == {"kind": "g", "factors": list(descending), "nu": list(nu[::-1])}
 
 
 class TestCsSubfamily:
