@@ -176,12 +176,18 @@ def proper_factorization_kappa2(pf: PrimeFactorization) -> FactorSet:
     """
     if pf.omega <= 3:
         raise DomainError(f"kappa=2 needs omega > 3, got omega={pf.omega}")
-    p = pf.primes
-    if p[1] * p[2] < p[3]:
-        factors = (p[0] * p[1] * p[2],) + p[3:]
+    return FactorSet(pf.n, _merge_two_levels(pf.primes), kappa=2)
+
+
+def _merge_two_levels(factors: Sequence[int]) -> tuple[int, ...]:
+    """Two levels down in one step, ascending: merge the three smallest
+    factors when A1*A2 < A3, else merge {A0, A3} and {A1, A2}."""
+    a = sorted(factors)
+    if a[1] * a[2] < a[3]:
+        merged = [a[0] * a[1] * a[2]] + a[3:]
     else:
-        factors = (p[0] * p[3], p[1] * p[2]) + p[4:]
-    return FactorSet(pf.n, tuple(sorted(factors)), kappa=2)
+        merged = [a[0] * a[3], a[1] * a[2]] + a[4:]
+    return tuple(sorted(merged))
 
 
 def integer_partitions(total: int, parts: int) -> list[OmegaPattern]:
@@ -345,20 +351,11 @@ def near_proper_factorization(pf: PrimeFactorization, kappa: int) -> FactorSet:
         raise DomainError(f"near-proper needs omega > 4, got omega={pf.omega}")
     if not 3 <= kappa <= pf.omega - 2:
         raise DomainError(f"kappa must be in [3, {pf.omega - 2}], got {kappa}")
-    if kappa % 2 == 1:
-        current = list(proper_factorization_kappa1(pf).sorted_ascending())
-        k = 1
-    else:
-        current = list(proper_factorization_kappa2(pf).sorted_ascending())
-        k = 2
-    while k < kappa:
-        a = sorted(current)
-        if a[1] * a[2] < a[3]:
-            current = [a[0] * a[1] * a[2]] + a[3:]
-        else:
-            current = [a[0] * a[3], a[1] * a[2]] + a[4:]
-        k += 2
-    return FactorSet(pf.n, tuple(sorted(current)), kappa=kappa)
+    first = proper_factorization_kappa1 if kappa % 2 else proper_factorization_kappa2
+    current = first(pf).sorted_ascending()
+    for _ in range((kappa - 1) // 2):
+        current = _merge_two_levels(current)
+    return FactorSet(pf.n, current, kappa=kappa)
 
 
 FACTOR_SET_MODES = ("proper", "near", "exhaustive")

@@ -113,10 +113,19 @@ class RaSimConfig:
             raise DomainError("set exactly one of p_fa_target or beta")
         if self.j_sequences is None:
             self.j_sequences = len(self.family)
-        if self.j_sequences > len(self.family):
-            raise DomainError("more identification sequences than family members")
+        if not 2 <= self.j_sequences <= len(self.family):
+            raise DomainError(f"identification sequences must number 2 to the family "
+                              f"size {len(self.family)}, got {self.j_sequences}")
         if self.trials < 2:
             raise DomainError("trials must be >= 2: the p_fid sigma is a per-trial spread")
+        if self.p_fa_target is not None and not 0.0 < self.p_fa_target < 1.0:
+            raise DomainError(f"p_fa_target must be in (0, 1), got {self.p_fa_target}")
+        if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise DomainError(f"beta must be a finite positive threshold, got {self.beta}")
+        if not all(math.isfinite(s) for s in self.snr_db_list):
+            raise DomainError(f"SNRs must be finite, got {list(self.snr_db_list)}")
+        if not (math.isfinite(self.delta_f_hz) and self.delta_f_hz > 0.0):
+            raise DomainError(f"delta_f_hz must be finite and positive, got {self.delta_f_hz}")
 
     def beta_at(self, phi: float) -> float:
         if self.beta is not None:
@@ -163,34 +172,6 @@ def _batch_rng(seed: int, label: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, (label << 32) | batch]))
 
 
-def sample_cfr(profile: ChannelProfile, n: int, delta_f_hz: float,
-               rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """Channel frequency response rows h[n] = sum_l g_l exp(-2j pi df n tau_l)
-    with independent complex-Gaussian tap gains of the profile powers."""
-    gains = _cscg(rng, (count, len(profile.delays_s)))
-    gains = gains * np.sqrt(np.asarray(profile.powers))
-    phases = np.exp(-2j * np.pi * delta_f_hz * np.outer(
-        np.asarray(profile.delays_s), np.arange(n)))
-    h = gains @ phases
-    return h if count > 1 else h[0]
-
-
-def received_vector(q_k: np.ndarray, h: np.ndarray, snr_linear: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """r = sqrt(N) q_k*h + z with noise variance 1/snr per sample."""
-    n = len(q_k)
-    z = _cscg(rng, n, variance=1.0 / snr_linear)
-    return math.sqrt(n) * q_k * h + z
-
-
-def detect(r: np.ndarray, q_matrix: np.ndarray, beta: float) -> np.ndarray:
-    """Indices whose squared correlation magnitude exceeds the threshold."""
-    if beta <= 0:
-        raise DomainError("threshold must be positive")
-    y = np.abs(q_matrix.conj() @ r) ** 2
-    return np.nonzero(y > beta)[0]
-
-
 def _leakage(q_matrix: np.ndarray, profile: ChannelProfile,
              delta_f_hz: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Leakage tensor and the variances the closed forms read from it.
@@ -198,9 +179,11 @@ def _leakage(q_matrix: np.ndarray, profile: ChannelProfile,
     C_l[k, i] = sqrt(N) sum_n q_k[n] exp(-2j pi df n tau_l) conj(q_i[n]) is
     what the i-th correlator picks up through tap l when q_k is sent
     (an L x J x J tensor).  The variances are accumulated tap by tap:
-    sigma_fie[i, k] = sum_l p_l |C_l[k, i]|^2 with a zero diagonal, and
-    sigma_c = sum_l p_l |C_l[k, k]|^2 averaged over k (the same for every
-    k of a constant-amplitude family).
+    sigma_fie[i, k] = sum_l p_l |C_l[k, i]|^2
+                    = N sum_l p_l |sum_n conj(q_i) q_k exp(-2j pi df n tau_l)|^2
+    with a zero diagonal, and sigma_c = sum_l p_l |C_l[k, k]|^2 averaged
+    over k; every k of a constant-amplitude family gives
+    sigma_c = (1/N) sum_l p_l |sum_n exp(-2j pi df n tau_l)|^2.
     """
     j, n = q_matrix.shape
     q_h = q_matrix.conj().T
@@ -215,17 +198,6 @@ def _leakage(q_matrix: np.ndarray, profile: ChannelProfile,
     sigma_fie = acc.T.copy()
     np.fill_diagonal(sigma_fie, 0.0)
     return tensor, sigma_fie, sigma_c
-
-
-def interference_variances(q_matrix: np.ndarray, profile: ChannelProfile,
-                           delta_f_hz: float) -> tuple[np.ndarray, float]:
-    """Pairwise leakage variances and the matched-sequence signal variance.
-
-    sigma_fie[i, k] = N sum_l p_l |sum_n conj(q_i) q_k exp(-2j pi df n tau_l)|^2
-    sigma_c = (1/N) sum_l p_l |sum_n exp(-2j pi df n tau_l)|^2
-    """
-    _, sigma_fie, sigma_c = _leakage(q_matrix, profile, delta_f_hz)
-    return sigma_fie, sigma_c
 
 
 def _closed_forms(sigma_fie: np.ndarray, sigma_c: float, beta: float,
@@ -255,7 +227,7 @@ def closed_form_metrics(q_matrix: np.ndarray, profile: ChannelProfile,
                         beta: float, phi: float,
                         delta_f_hz: float = 1250.0) -> dict:
     """Exact detection probabilities for the exponential correlator statistics."""
-    sigma_fie, sigma_c = interference_variances(q_matrix, profile, delta_f_hz)
+    _, sigma_fie, sigma_c = _leakage(q_matrix, profile, delta_f_hz)
     fie_max, fie_mean = _fie_stats(sigma_fie)
     return {**_closed_forms(sigma_fie, sigma_c, beta, phi), "sigma_c": sigma_c,
             "sigma_fie_max": fie_max, "sigma_fie_mean": fie_mean}

@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -357,7 +357,8 @@ def build_family(kind: str, cfg: WaveformConfig, kappa: int = 0,
     if count is not None:
         if not 1 <= count <= len(fam):
             raise DomainError(f"count must be in [1, {len(fam)}] for this {kind} family")
-        fam.sequences = fam.sequences[:count]
+        if count < len(fam):  # copies, so the kept rows do not pin the whole phase matrix
+            fam.sequences = [replace(s, chi=s.chi.copy()) for s in fam.sequences[:count]]
     return fam
 
 
@@ -417,10 +418,6 @@ def augment_family(base: Family) -> Family:
     if base.kind not in ("hat_pma", "hat_dpma"):
         raise DomainError(f"can only augment hat families, got {base.kind!r}")
     parts = tuple(base.meta["decomposition"])
-    if len(parts) < 3 or 2 * max(parts) >= sum(parts):
-        raise InfeasibleError(
-            f"decomposition {parts} admits no rotation: need >= 3 parts, "
-            f"max part below half the total")
     sol = solve_rotation(parts, epsilon=1e-9)
     # the phases come from the exported degrees, so theta_degrees alone
     # reproduces the rotated members bit for bit

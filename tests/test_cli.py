@@ -200,6 +200,16 @@ def test_beta_cap_outside_domain_exits_2_with_one_line(family48, tmp_path, cmd, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [["--j", "1"], ["--j", "0"], ["--p-fa", "0"],
+                                 ["--p-fa", "2"], ["--beta", "-1"], ["--snr=nan"],
+                                 ["--delta-f", "nan"]],
+                         ids=["j_1", "j_0", "p_fa_0", "p_fa_2", "beta_negative", "snr_nan",
+                              "delta_f_nan"])
+def test_bad_simulate_config_exits_2_with_one_line(family48, bad):
+    _assert_exits_2_with_one_line(["simulate", "--family", str(family48),
+                                   "--trials", "10", *bad])
+
+
 def test_oversized_exhaustive_search_exits_2_with_one_line():
     # omega(4096) = 12: S(12, 6) ~ 1.3e6 prime groupings, refused before enumerating
     _assert_exits_2_with_one_line(["factorize", "--n", "4096", "--kappa", "6",

@@ -58,72 +58,6 @@ class TestChannelProfile:
             rc.ChannelProfile("bad", (0.0, 1e-9), (0.9, 0.3))
 
 
-class TestSampleCfr:
-    def test_flat_fading_constant_over_tones(self):
-        rng = np.random.Generator(np.random.Philox(key=[1, 2]))
-        h = rc.sample_cfr(rc.ChannelProfile.flat_fading(), 64, 1250.0, rng)
-        assert np.allclose(h, h[0])
-
-    def test_unit_average_power(self):
-        rng = np.random.Generator(np.random.Philox(key=[3, 4]))
-        prof = rc.ChannelProfile.shipped("umi")
-        h = rc.sample_cfr(prof, 32, 1250.0, rng, count=100000)
-        mean_power = np.mean(np.abs(h) ** 2)
-        # 3-sigma band for 1e5 draws of a unit-mean exponential-ish average
-        assert abs(mean_power - 1.0) < 3.0 / math.sqrt(100000 * 32 / 8)
-
-    def test_two_tap_frequency_correlation(self):
-        delays = (0.0, 200e-9)
-        prof = rc.ChannelProfile("two-tap", delays, (0.5, 0.5))
-        rng = np.random.Generator(np.random.Philox(key=[5, 6]))
-        n, df = 64, 1250.0
-        h = rc.sample_cfr(prof, n, df, rng, count=60000)
-        # sample covariance between tone 0 and tone m
-        m = 40
-        got = np.mean(h[:, m] * np.conj(h[:, 0]))
-        expected = sum(p * np.exp(-2j * np.pi * df * m * t)
-                       for t, p in zip(prof.delays_s, prof.powers))
-        assert abs(got - expected) < 0.02
-
-
-class TestReceivedVector:
-    def test_noiseless_limit(self, apma139):
-        q = apma139.sequences[0].q
-        h = np.ones(139, dtype=complex)
-        rng = np.random.Generator(np.random.Philox(key=[7, 8]))
-        r = rc.received_vector(q, h, snr_linear=1e12, rng=rng)
-        assert np.allclose(r, math.sqrt(139) * q, atol=1e-4)
-
-    def test_noise_variance(self, apma139):
-        q = apma139.sequences[0].q
-        h = np.zeros(139, dtype=complex)
-        rng = np.random.Generator(np.random.Philox(key=[9, 10]))
-        phi = 4.0
-        samples = np.concatenate(
-            [rc.received_vector(q, h, phi, rng) for _ in range(2000)])
-        assert abs(np.mean(np.abs(samples) ** 2) - 1 / phi) < 0.01
-
-
-class TestDetect:
-    def test_tiny_threshold_flags_all(self, apma139):
-        q = apma139.q_matrix()[:8]
-        rng = np.random.Generator(np.random.Philox(key=[11, 12]))
-        r = rc._cscg(rng, q.shape[1])
-        assert len(rc.detect(r, q, beta=1e-30)) == 8
-
-    def test_noiseless_flat_fading_identifies_exactly_the_request(self, apma139):
-        q = apma139.q_matrix()[:8]
-        k = 3
-        gain = 0.9 - 0.2j
-        r = math.sqrt(139) * q[k] * gain
-        found = rc.detect(r, q, beta=0.5 * 139 * abs(gain) ** 2)
-        assert list(found) == [k]
-
-    def test_threshold_must_be_positive(self, apma139):
-        with pytest.raises(DomainError):
-            rc.detect(np.zeros(139, complex), apma139.q_matrix(), beta=0.0)
-
-
 class TestClosedForms:
     def test_flat_fading_orthogonal_family(self, apma139):
         q = apma139.q_matrix()
@@ -145,12 +79,9 @@ class TestClosedForms:
 
     def test_sigma_fie_shrinks_with_delay_spread(self, apma139):
         q = apma139.q_matrix()
-        umi, _ = rc.interference_variances(q, rc.ChannelProfile.shipped("umi"),
-                                           1250.0)
-        ind, _ = rc.interference_variances(q, rc.ChannelProfile.shipped("ind"),
-                                           1250.0)
-        ff, sigma_c = rc.interference_variances(
-            q, rc.ChannelProfile.flat_fading(), 1250.0)
+        umi, _ = rc._leakage(q, rc.ChannelProfile.shipped("umi"), 1250.0)[1:]
+        ind, _ = rc._leakage(q, rc.ChannelProfile.shipped("ind"), 1250.0)[1:]
+        ff, sigma_c = rc._leakage(q, rc.ChannelProfile.flat_fading(), 1250.0)[1:]
         assert ff.max() < 1e-15      # orthogonal pairs leak nothing flat
         assert ind.max() < umi.max()  # shorter spread, less leakage
         assert abs(sigma_c - 139.0) < 1e-9
@@ -184,7 +115,7 @@ class TestRunSimulation:
         # E Y(q_i) = 1/phi + sigma_fie for i != k, 1/phi + sigma_c for i = k
         prof = rc.ChannelProfile.shipped("umi")
         q = apma139.q_matrix()[:4]
-        sigma_fie, sigma_c = rc.interference_variances(q, prof, 1250.0)
+        sigma_fie, sigma_c = rc._leakage(q, prof, 1250.0)[1:]
         phi = 1.0
         rng = np.random.Generator(np.random.Philox(key=[41, 42]))
         trials = 60000
@@ -246,25 +177,84 @@ class TestRunSimulation:
         with pytest.warns(UserWarning, match="cannot resolve"):
             rc.run_simulation(cfg)
 
+    def test_tiny_threshold_flags_every_correlator(self, apma139):
+        cfg = rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=200,
+                             seed=11, profile=rc.ChannelProfile.shipped("umi"),
+                             j_sequences=8, beta=1e-30)
+        entry = rc.run_simulation(cfg).per_snr[0]
+        for metric in ("p_fa", "p_fid", "p_c"):
+            assert entry.mc[metric][0] == 1.0
+            assert entry.closed_form[metric] == pytest.approx(1.0)
+
+    def test_noiseless_flat_fading_identifies_exactly_the_request(self, apma139):
+        # at 100 dB the noise and the orthogonal leakage stay far below beta,
+        # while the matched output N |g|^2 exceeds it unless |g|^2 < 7e-9
+        cfg = rc.RaSimConfig(family=apma139, snr_db_list=[100.0], trials=1000,
+                             seed=12, profile=rc.ChannelProfile.flat_fading(),
+                             j_sequences=8, beta=1e-6)
+        mc = rc.run_simulation(cfg).per_snr[0].mc
+        assert (mc["p_fa"][0], mc["p_fid"][0], mc["p_c"][0]) == (0.0, 0.0, 1.0)
+
     def test_config_validation(self, apma139):
-        with pytest.raises(DomainError):
-            rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=10,
-                           seed=1, profile=rc.ChannelProfile.flat_fading())
-        with pytest.raises(DomainError, match="trials"):
-            rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=1,
-                           seed=1, profile=rc.ChannelProfile.flat_fading(),
-                           p_fa_target=1e-2)
-        with pytest.raises(DomainError):
-            rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=10,
-                           seed=1, profile=rc.ChannelProfile.flat_fading(),
-                           p_fa_target=1e-2, beta=1.0)
-        with pytest.raises(DomainError):
-            rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=10,
-                           seed=1, profile=rc.ChannelProfile.flat_fading(),
-                           p_fa_target=1e-2, j_sequences=100)
+        # apma139 has 20 members
+        for bad, match in [
+            ({}, "exactly one"),
+            ({"p_fa_target": 1e-2, "beta": 1.0}, "exactly one"),
+            ({"p_fa_target": 1e-2, "trials": 1}, "trials"),
+            ({"p_fa_target": 1e-2, "j_sequences": 100}, "identification sequences"),
+            ({"p_fa_target": 1e-2, "j_sequences": 1}, "identification sequences"),
+            ({"p_fa_target": 1e-2, "j_sequences": 0}, "identification sequences"),
+            ({"p_fa_target": 0.0}, "p_fa_target"),
+            ({"p_fa_target": 1.0}, "p_fa_target"),
+            ({"p_fa_target": 2.0}, "p_fa_target"),
+            ({"p_fa_target": math.nan}, "p_fa_target"),
+            ({"beta": 0.0}, "beta"),
+            ({"beta": -1.0}, "beta"),
+            ({"beta": math.inf}, "beta"),
+            ({"beta": math.nan}, "beta"),
+            ({"p_fa_target": 1e-2, "snr_db_list": [0.0, math.nan]}, "SNR"),
+            ({"p_fa_target": 1e-2, "snr_db_list": [math.inf]}, "SNR"),
+            ({"p_fa_target": 1e-2, "delta_f_hz": math.nan}, "delta_f_hz"),
+            ({"p_fa_target": 1e-2, "delta_f_hz": 0.0}, "delta_f_hz"),
+        ]:
+            kwargs = {"snr_db_list": [0.0], "trials": 10, **bad}
+            with pytest.raises(DomainError, match=match):
+                rc.RaSimConfig(family=apma139, seed=1,
+                               profile=rc.ChannelProfile.flat_fading(), **kwargs)
 
 
 class TestCorrelatorModel:
+    def test_flat_fading_leakage_is_scaled_gram(self, zc139):
+        # one tap at zero delay: C_0 = sqrt(N) Q Q^H, the same channel on every tone
+        q = zc139.q_matrix()
+        leak, sigma_fie, sigma_c = rc._leakage(q, rc.ChannelProfile.flat_fading(), 1250.0)
+        gram = math.sqrt(139) * q @ q.conj().T
+        assert leak.shape == (1, 30, 30)
+        assert np.max(np.abs(leak[0] - gram)) <= 1e-12 * math.sqrt(139)
+        assert abs(sigma_c - 139.0) < 1e-9
+        off = ~np.eye(30, dtype=bool)
+        assert np.allclose(sigma_fie[off], np.abs(gram.T[off]) ** 2, rtol=1e-12, atol=0)
+
+    def test_complete_family_conserves_tap_power(self):
+        # rows of a unitary Q: every C_l[k, :] has energy N, so each column
+        # of sigma_fie plus sigma_c adds up to N times the unit total power
+        n = 64
+        q = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
+        leak, sigma_fie, sigma_c = rc._leakage(q, rc.ChannelProfile.shipped("umi"), 1250.0)
+        assert np.allclose(np.sum(np.abs(leak) ** 2, axis=2), n, rtol=1e-12, atol=0)
+        assert np.allclose(sigma_fie.sum(axis=0) + sigma_c, n, rtol=1e-12, atol=0)
+
+    def test_two_tap_signal_variance_matches_tone_sum(self, apma139):
+        # sigma_c = (1/N) sum_l p_l |sum_n exp(-2j pi df n tau_l)|^2 for a
+        # constant-amplitude family: the tones' channel correlation summed
+        prof = rc.ChannelProfile("two-tap", (0.0, 200e-9), (0.5, 0.5))
+        n, df = 139, 1250.0
+        _, _, sigma_c = rc._leakage(apma139.q_matrix(), prof, df)
+        expected = sum(p * abs(np.exp(-2j * np.pi * df * t * np.arange(n)).sum()) ** 2
+                       for t, p in zip(prof.delays_s, prof.powers)) / n
+        assert abs(sigma_c - expected) <= 1e-12 * expected
+        assert expected < n - 1e-3  # the second tap decorrelates the tones
+
     def test_matches_correlating_the_tone_observation(self, zc139):
         # the same draw of k, tap gains and N-tone noise z, pushed through the
         # leakage tensor and through sqrt(N) q_k*h + z correlated against q
@@ -291,7 +281,7 @@ class TestCorrelatorModel:
             ph = np.exp(-2j * np.pi * 1250.0 * delay * np.arange(n))
             ref += p * n * np.abs(q.conj() @ (q * ph).T) ** 2
         np.fill_diagonal(ref, 0.0)
-        sigma_fie, sigma_c = rc.interference_variances(q, prof, 1250.0)
+        sigma_fie, sigma_c = rc._leakage(q, prof, 1250.0)[1:]
         assert np.max(np.abs(sigma_fie - ref)) <= 1e-12 * ref.max()
         phi = 10 ** 0.2
         beta = -math.log(1e-2) / phi

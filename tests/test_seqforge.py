@@ -189,6 +189,23 @@ class TestFamilies:
         gram = q.conj() @ q.T
         assert np.abs(gram - np.eye(len(aug))).max() < 1e-9
 
+    @pytest.mark.parametrize("kind", ["pma", "apma"])
+    def test_count_keeps_only_its_own_rows(self, cfg_b139, kind):
+        full = sf.build_family(kind, cfg_b139)
+        fam = sf.build_family(kind, cfg_b139, count=1)
+        assert full.sequences[0].chi.base is not None  # rows of one phase matrix
+        for kept, ref in zip(fam.sequences, full.sequences):
+            assert kept.chi.base is None and kept.chi.nbytes == 139 * 16
+            assert np.array_equal(kept.chi, ref.chi) and kept.meta == ref.meta
+
+    @pytest.mark.parametrize("parts", [(96, 43), (72, 35, 32)],
+                             ids=["two_parts", "max_part_half"])
+    def test_augment_without_rotation_is_infeasible(self, cfg_b139, parts):
+        base = sf.build_family("hat_pma", cfg_b139,
+                               decomp=fl.Decomposition.from_parts(139, parts))
+        with pytest.raises(InfeasibleError, match="no rotation"):
+            sf.augment_family(base)
+
     def test_apma_infeasible_for_unsplittable_length(self):
         cfg = sf.WaveformConfig(48, gamma=2, alpha=Fraction(1, 2))
         with pytest.raises(InfeasibleError):
