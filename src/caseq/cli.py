@@ -146,29 +146,27 @@ def _load_family(path: str) -> seqforge.Family:
 
 
 def cmd_spectrum(args) -> int:
+    if args.slope == args.eta:
+        raise DomainError("spectrum takes exactly one of --slope and --eta")
     fam = _load_family(args.family)
-    outputs = []
+    out = Path(args.out) if args.out else None
     if args.slope:
         spec = spectra.compute_spectrum(fam.sequences[0], args.span, args.points)
         slope = spectra.estimate_decay_order(spec, (args.fit_lo, args.fit_hi))
         print(f"kind={fam.kind} N={fam.n} fitted_slope={slope:.3f}")
-        if args.out:
-            out = Path(args.out)
+        if out:
             _write_csv(out, ["normalized_freq", "power_db"],
                        spectra.spectrum_csv_rows(spec))
-            outputs.append(out)
-    if args.eta:
+    else:
         bandwidths = [float(b) for b in args.bandwidths.split(",")]
         rows = spectra.out_of_band_fraction(fam, bandwidths, args.span,
                                             args.points)
         for b, eta in rows:
             print(f"B={b:g} eta_db={eta:.3f}")
-        if args.out:
-            out = Path(args.out)
+        if out:
             _write_csv(out, ["normalized_bandwidth", "eta_db", "family_kind"],
                        [(b, eta, fam.kind) for b, eta in rows])
-            outputs.append(out)
-    _write_manifest(args, outputs)
+    _write_manifest(args, [out] if out else [])
     return 0
 
 

@@ -45,8 +45,10 @@ class ChannelProfile:
     def __post_init__(self):
         if len(self.delays_s) != len(self.powers):
             raise DomainError("delay/power length mismatch")
-        if any(d < 0 for d in self.delays_s):
-            raise DomainError("negative tap delay")
+        if not all(0 <= d < math.inf for d in self.delays_s):
+            raise DomainError(f"tap delays must be finite and non-negative, got {self.delays_s}")
+        if not all(0 <= p < math.inf for p in self.powers):
+            raise DomainError(f"tap powers must be finite and non-negative, got {self.powers}")
         if list(self.delays_s) != sorted(set(self.delays_s)):
             raise DomainError("delays must be strictly increasing")
         if abs(sum(self.powers) - 1.0) > 1e-9:

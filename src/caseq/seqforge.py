@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -89,11 +89,11 @@ def _unit_phases(numerators: np.ndarray, denominator: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CaSequence:
-    """A length-N unit-modulus frequency-domain sequence plus its metadata."""
+    """A length-N unit-modulus frequency-domain sequence; the recipe that
+    built a family member lives in its Family.meta."""
 
     chi: np.ndarray
     cfg: WaveformConfig
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -174,15 +174,6 @@ def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]], cfg: Wavef
     return chi
 
 
-def _flat_members(kind: str, factors: tuple[int, ...], nus: Sequence[Sequence[int]],
-                  cfg: WaveformConfig, weights: Sequence[int] | None = None) -> list[CaSequence]:
-    """One member per index vector, each holding a row of one phase matrix."""
-    if math.prod(factors) != cfg.n_seq:
-        raise DomainError(f"factors multiply to {math.prod(factors)}, config says {cfg.n_seq}")
-    return [CaSequence(row, cfg, meta={"kind": kind, "factors": list(factors), "nu": list(nu)})
-            for row, nu in zip(_phase_rows(factors, nus, cfg, weights), nus)]
-
-
 def build_g_sequence(factors: Sequence[int], nu: Sequence[int],
                      cfg: WaveformConfig) -> CaSequence:
     """Phase-assigned sequence over descending factors of N.
@@ -192,63 +183,37 @@ def build_g_sequence(factors: Sequence[int], nu: Sequence[int],
     2*pi*nu_m*l_m/A_m, and under a fractional alpha*gamma the odd digits
     add 2*pi*alpha*gamma*l_m*phi_m.
     """
-    factors = tuple(factors)
-    if list(factors) != sorted(factors, reverse=True):
-        raise DomainError("factors must be sorted descending")
-    return _flat_members("g", factors, [nu], cfg)[0]
+    if list(factors) != sorted(factors, reverse=True) or math.prod(factors) != cfg.n_seq:
+        raise DomainError(f"factors must be sorted descending and multiply to {cfg.n_seq}")
+    return CaSequence(_phase_rows(factors, [nu], cfg)[0], cfg)
 
 
 def build_i_sequence(factors: Sequence[int], nu: Sequence[int],
                      cfg: WaveformConfig) -> CaSequence:
     """Companion construction over ascending factors with reversed weights
     psi_m = N / prod(factors[:m+1]), psi_last = 1."""
-    factors = tuple(factors)
-    if list(factors) != sorted(factors):
-        raise DomainError("factors must be sorted ascending")
-    n = math.prod(factors)
+    n = cfg.n_seq
+    if list(factors) != sorted(factors) or math.prod(factors) != n:
+        raise DomainError(f"factors must be sorted ascending and multiply to {n}")
     weights = [n // math.prod(factors[:m + 1]) for m in range(len(factors))]
-    return _flat_members("i", factors, [nu], cfg, weights)[0]
+    return CaSequence(_phase_rows(factors, [nu], cfg, weights)[0], cfg)
 
 
-def _hat_members(parts: Sequence[int], per_part_factors: Sequence[Sequence[int]],
+def _hat_members(parts: Sequence[int], factor_sets: Sequence[Sequence[int]],
                  nu_sets: Sequence[Sequence[Sequence[int]]], cfg: WaveformConfig,
                  rotation: Sequence[float] | None = None) -> list[CaSequence]:
-    """One concatenated member per entry of nu_sets (one index vector per
-    part); each part is one block of columns of a single phase matrix."""
+    """Concatenations of per-part phase-assigned subsequences, one member per
+    entry of nu_sets (one index vector per part).  Part rho is built like
+    build_g_sequence over its descending factor set, as one block of columns
+    of a single phase matrix, times exp(1j*rotation[rho]) when rotated; the
+    sign in q uses the absolute index across the concatenation."""
     if sum(parts) != cfg.n_seq:
         raise DomainError(f"decomposition of {sum(parts)}, config says {cfg.n_seq}")
-    if len(per_part_factors) != len(parts) or any(len(s) != len(parts) for s in nu_sets):
-        raise DomainError("need one factor set and one index vector per part")
-    factor_sets = [sorted(f, reverse=True) for f in per_part_factors]
-    blocks = []
-    for rho, (part, factors) in enumerate(zip(parts, factor_sets)):
-        if math.prod(factors) != part:
-            raise DomainError(f"part {part} != product of {tuple(factors)}")
+    blocks = []  # each block is rotated as it is built, so one unrotated block lives at a time
+    for rho, factors in enumerate(factor_sets):
         block = _phase_rows(factors, [s[rho] for s in nu_sets], cfg)
-        if rotation is not None:
-            block = block * np.exp(1j * rotation[rho])
-        blocks.append(block)
-    return [CaSequence(row, cfg, meta={
-        "kind": "hat", "parts": list(parts),
-        "factor_sets": [list(f) for f in factor_sets],
-        "nu": [list(v) for v in nu_set],
-        "rotation": None if rotation is None else [float(t) for t in rotation]})
-        for row, nu_set in zip(np.concatenate(blocks, axis=1), nu_sets)]
-
-
-def build_hat_sequence(decomp: Decomposition,
-                       per_part_factors: Sequence[Sequence[int]],
-                       per_part_nu: Sequence[Sequence[int]],
-                       cfg: WaveformConfig,
-                       rotation: Sequence[float] | None = None) -> CaSequence:
-    """Concatenation of per-part phase-assigned subsequences.
-
-    Each part is built like build_g_sequence over its own (descending)
-    factor set and digit positions; an optional rotation multiplies part
-    rho by exp(1j*theta_rho).  The alternating sign in q uses the absolute
-    index across the concatenation.
-    """
-    return _hat_members(decomp.parts, per_part_factors, [per_part_nu], cfg, rotation)[0]
+        blocks.append(block if rotation is None else block * np.exp(1j * rotation[rho]))
+    return [CaSequence(row, cfg) for row in np.concatenate(blocks, axis=1)]
 
 
 def _nu_vectors(factors: Sequence[int]) -> list[tuple[int, ...]]:
@@ -305,7 +270,7 @@ def _build_flat_family(kind: str, fs: FactorSet, cfg: WaveformConfig) -> Family:
     factors = fs.sorted_descending()
     nus = _nu_vectors(factors)
     return Family(
-        sequences=_flat_members("g", factors, nus, cfg),
+        sequences=[CaSequence(row, cfg) for row in _phase_rows(factors, nus, cfg)],
         kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(len(factors), cfg),
         family_csd=fs.family_csd,
@@ -340,25 +305,32 @@ def build_family(kind: str, cfg: WaveformConfig, kappa: int = 0,
     """Construct a sequence family of the given kind.
 
     kappa selects the degeneracy level for dpma/near_dpma/hat_dpma/adpma
-    and must be 0 for pma/hat_pma/apma;
+    and must be 0 for the other kinds;
     decomp supplies the additive decomposition for hat kinds (computed
-    when omitted).  count/min_csd/roots configure the zc and pn baselines;
-    for the other kinds count keeps the leading members of the full family.
+    when omitted) and is refused for the others.  count/min_csd/roots
+    configure the zc and pn baselines, and min_csd is refused for the other
+    kinds, where count keeps the leading members of the full family.
     """
     if kind not in FAMILY_KINDS:
         raise DomainError(f"unknown family kind {kind!r}")
+    if kind in ("pma", "hat_pma", "apma", "zc", "pn") and kappa != 0:
+        raise DomainError(f"{kind} families take kappa = 0, got {kappa}")
+    if decomp is not None and kind not in HAT_KINDS:
+        raise DomainError(f"{kind} families take no decomposition")
     if kind in ("zc", "pn"):
-        if count is None or min_csd is None:
-            raise DomainError(f"{kind} baseline needs count and min_csd")
+        if count is None or min_csd is None or min(count, min_csd) < 1:
+            raise DomainError(f"{kind} baseline needs a count and a min_csd of at least 1")
         if kind == "zc":
             return build_multiroot_zc_family(cfg, count, min_csd, roots)
         return build_pn_family(cfg, count, min_csd)
+    if min_csd is not None:
+        raise DomainError(f"min_csd applies to the zc and pn baselines, not {kind}")
     fam = _build_structured_family(kind, cfg, kappa, decomp)
     if count is not None:
         if not 1 <= count <= len(fam):
             raise DomainError(f"count must be in [1, {len(fam)}] for this {kind} family")
         if count < len(fam):  # copies, so the kept rows do not pin the whole phase matrix
-            fam.sequences = [replace(s, chi=s.chi.copy()) for s in fam.sequences[:count]]
+            fam.sequences = [CaSequence(s.chi.copy(), cfg) for s in fam.sequences[:count]]
     return fam
 
 
@@ -366,8 +338,6 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
                              decomp: Decomposition | None) -> Family:
     """The full flat or concatenated family of the given kind."""
     n = cfg.n_seq
-    if kind in ("pma", "hat_pma", "apma") and kappa != 0:
-        raise DomainError(f"{kind} families take kappa = 0, got {kappa}")
     if kind == "pma":
         return _build_flat_family(kind, factorlab.factor_set(n), cfg)
 
@@ -434,34 +404,24 @@ def augment_family(base: Family) -> Family:
         sd_order_bound=base.sd_order_bound, family_csd=None, meta=meta)
 
 
-def cs_subfamily(leader: CaSequence, p_max: int | None = None) -> list[CaSequence]:
-    """Cyclic-shift subfamily of a flat phase-assigned leader.
+def cs_subfamily(family: Family, index: int) -> list[tuple[int, CaSequence]]:
+    """Cyclic-shift subfamily of member index of a flat phase-assigned family,
+    as (shift, member) pairs.
 
-    Admissible shifts are l*N/p_max for l in 0..p_max-1 except
-    l = p_max - nu_0; shifting by k multiplies q[n] by exp(2j*pi*n*k/N),
-    which lands on the member whose leading index is nu_0 + l.
+    With A the largest factor and nu_0 the member's leading index, the
+    admissible shifts are l*N/A for l in 0..A-1 except l = A - nu_0;
+    shifting by k multiplies q[n] by exp(2j*pi*n*k/N), which lands on the
+    member whose leading index is (nu_0 + l) mod A.
     """
-    factors = leader.meta.get("factors")
-    nu = leader.meta.get("nu")
-    if factors is None or nu is None:
-        raise DomainError("leader must come from a flat family build")
-    if p_max is None:
-        p_max = max(factors)
-    if factors[0] != p_max:
-        raise DomainError("leading factor must be the largest")
-    n = leader.n
-    v0 = nu[0]
-    out = []
-    for l in range(p_max):
-        if l == p_max - v0:
-            continue
-        k = l * (n // p_max)
-        chi = leader.chi * _unit_phases(np.arange(n) * k, n)
-        meta = dict(leader.meta)
-        meta["cyclic_shift"] = k
-        meta["nu"] = [(v0 + l) % p_max] + list(nu[1:])
-        out.append(CaSequence(chi, leader.cfg, meta=meta))
-    return out
+    if "factor_set" not in family.meta:
+        raise DomainError(f"cyclic-shift subfamilies need a flat family, not {family.kind}")
+    if not 0 <= index < len(family):
+        raise DomainError(f"member index must be in [0, {len(family) - 1}], got {index}")
+    n, a = family.n, family.meta["factor_set"][0]
+    step, v0 = n // a, family.meta["nu_vectors"][index][0]
+    chi = family.sequences[index].chi
+    return [(k, CaSequence(chi * _unit_phases(np.arange(n) * k, n), family.cfg))
+            for k in range(0, n, step) if k != (a - v0) * step]
 
 
 def build_zc_sequence(root: int, n: int, cfg: WaveformConfig | None = None) -> CaSequence:
@@ -479,7 +439,7 @@ def build_zc_sequence(root: int, n: int, cfg: WaveformConfig | None = None) -> C
         zc = _unit_phases(-root * (k * (k + 1) // 2), n)
     else:
         zc = _unit_phases(-root * k * k, 2 * n)
-    return CaSequence(_signs(n, cfg.gamma) * zc, cfg, meta={"kind": "zc", "root": root})
+    return CaSequence(_signs(n, cfg.gamma) * zc, cfg)
 
 
 def build_multiroot_zc_family(cfg: WaveformConfig, count: int, min_csd: int,
@@ -496,20 +456,11 @@ def build_multiroot_zc_family(cfg: WaveformConfig, count: int, min_csd: int,
         raise DomainError(
             f"{count} sequences need more than {len(roots)} roots at "
             f"min_csd={min_csd}")
-    seqs = []
-    used = []
-    for root in roots:
-        if len(seqs) == count:
-            break
-        base = build_zc_sequence(root, n, cfg)
-        for shift_idx in range(per_root):
-            if len(seqs) == count:
-                break
-            k = shift_idx * min_csd
-            chi = base.chi * _unit_phases(np.arange(n) * k, n)
-            seqs.append(CaSequence(chi, cfg, meta={
-                "kind": "zc", "root": root, "cyclic_shift": k}))
-            used.append({"root": root, "cyclic_shift": k})
+    used = [{"root": root, "cyclic_shift": k * min_csd}
+            for root in roots for k in range(per_root)][:count]
+    bases = {m["root"]: build_zc_sequence(m["root"], n, cfg).chi for m in used}
+    seqs = [CaSequence(bases[m["root"]] * _unit_phases(np.arange(n) * m["cyclic_shift"], n), cfg)
+            for m in used]
     return Family(sequences=seqs, kind="zc", cfg=cfg, sd_order_bound=0,
                   family_csd=min_csd,
                   meta={"roots": list(roots), "min_csd": min_csd, "members": used})
@@ -553,8 +504,7 @@ def build_pn_family(cfg: WaveformConfig, count: int, min_csd: int) -> Family:
     for k in range(count):
         offset = k * min_csd
         bpsk = 1.0 - 2.0 * bits[(offset + idx) % period].astype(np.float64)
-        seqs.append(CaSequence(signs * bpsk.astype(np.complex128), cfg,
-                               meta={"kind": "pn", "offset": offset}))
+        seqs.append(CaSequence(signs * bpsk.astype(np.complex128), cfg))
     return Family(sequences=seqs, kind="pn", cfg=cfg, sd_order_bound=0,
                   family_csd=min_csd, meta={"min_csd": min_csd, "taps": [15, 14]})
 

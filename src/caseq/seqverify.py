@@ -1,13 +1,14 @@
-"""Independent property checks on constructed sequences and families.
+"""Independent property checks on constructed families.
 
 Everything here re-derives properties from the raw sequence values:
 constant amplitude, zero periodic autocorrelation of the inverse DFT,
 pairwise orthogonality, and the sidelobe-decay order measured as the
 number of leading vanishing index-power moments.  Each check takes the
 J x N member matrix at once: ifft(|chi|^2) by one rfft per row, all moments by
-one product chi @ P^T with P[beta, n] = n^beta.  For unit-modulus chi a
-moment's rounding error is at most about N u sum n^beta (u = 2^-53), five
-orders under MOMENT_RTOL at N <= 1151.
+one product chi @ P^T with P[beta, n] = n^beta.  amplitude_checks and
+sd_orders return per-row results, which check_family reduces to one report.
+For unit-modulus chi a moment's rounding error is at most about
+N u sum n^beta (u = 2^-53), five orders under MOMENT_RTOL at N <= 1151.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .seqforge import CaSequence, DomainError, Family, WaveformConfig
+from .seqforge import DomainError, Family, WaveformConfig
 
 #: moments are called zero when below this times sum(n^beta)
 MOMENT_RTOL = 1e-8
@@ -26,7 +27,7 @@ DEFAULT_BETA_CAP = 6
 
 @dataclass
 class VerifyReport:
-    """Aggregate metrics for one family (or a single sequence)."""
+    """Aggregate metrics for one family."""
 
     ca_max_dev: float
     zac_max_offpeak: float
@@ -41,21 +42,11 @@ class VerifyReport:
         return asdict(self)
 
 
-def _amplitude_checks(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def amplitude_checks(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: the largest | |chi| - 1 |, and of ifft(|chi|^2) off its peak."""
     mag = np.abs(chi)
     corr = np.abs(np.fft.rfft(mag * mag, axis=1)[:, 1:])
     return np.abs(mag - 1.0).max(axis=1), corr.max(axis=1) / chi.shape[1]
-
-
-def check_ca(seq: CaSequence) -> float:
-    """Largest deviation of |chi[n]| from one."""
-    return float(_amplitude_checks(seq.chi[None, :])[0][0])
-
-
-def check_zac(seq: CaSequence) -> float:
-    """Largest off-peak periodic autocorrelation magnitude of q's inverse DFT."""
-    return float(_amplitude_checks(seq.chi[None, :])[1][0])
 
 
 @functools.cache
@@ -81,8 +72,11 @@ def _moments(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int) -> np.ndarray:
     return (chi @ powers.T).reshape(len(chi), -1, beta_cap + 1)
 
 
-def _sd_orders(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int):
-    """Per row (order, capped, magnitude), as measure_sd_order."""
+def sd_orders(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int):
+    """Per row (order, capped, magnitude): the first exponent whose moment,
+    plain or twisted under a fractional alpha*gamma, does not vanish, and its
+    magnitude.  capped: none up to beta_cap did; order is beta_cap + 1,
+    magnitude at beta_cap."""
     _check_beta_cap(beta_cap)
     mags = np.abs(_moments(chi, cfg, beta_cap)).max(axis=1)
     tol = np.array([moment_tolerance(chi.shape[1], b) for b in range(beta_cap + 1)])
@@ -90,14 +84,6 @@ def _sd_orders(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int):
     capped = ~fails.any(axis=1)
     orders = np.where(capped, beta_cap + 1, fails.argmax(axis=1))
     return orders, capped, mags[np.arange(len(mags)), np.minimum(orders, beta_cap)]
-
-
-def measure_sd_order(seq: CaSequence, beta_cap: int = DEFAULT_BETA_CAP) -> tuple[int, bool, float]:
-    """(order, capped, magnitude): the first exponent whose moment, plain or
-    twisted under a fractional alpha*gamma, does not vanish, and its magnitude.
-    capped: none up to beta_cap did; order is beta_cap + 1, magnitude at beta_cap."""
-    orders, capped, mags = _sd_orders(seq.chi[None, :], seq.cfg, beta_cap)
-    return int(orders[0]), bool(capped[0]), float(mags[0])
 
 
 def gram_matrix(family: Family) -> np.ndarray:
@@ -117,8 +103,8 @@ def check_family(family: Family, beta_cap: int = DEFAULT_BETA_CAP) -> VerifyRepo
     _check_beta_cap(beta_cap)
     gram = max_offdiag(gram_matrix(family)) if len(family) > 1 else None
     chi = family.chi_matrix()
-    ca, zac = _amplitude_checks(chi)
-    orders, capped, _ = _sd_orders(chi, family.cfg, beta_cap)
+    ca, zac = amplitude_checks(chi)
+    orders, capped, _ = sd_orders(chi, family.cfg, beta_cap)
     return VerifyReport(
         ca_max_dev=float(ca.max()),
         zac_max_offpeak=float(zac.max()),

@@ -175,40 +175,41 @@ def test_criterion_4_orthogonality_and_ca(table_families):
         gram = q.conj() @ q.T
         off = np.abs(gram - np.eye(len(fam)))
         assert off.max() <= 1e-9, (fam.kind, fam.n)
-        ca = max(sv.check_ca(s) for s in fam.sequences)
-        assert ca <= 1e-12, (fam.kind, fam.n)
-        zac = max(sv.check_zac(s) for s in fam.sequences)
-        assert zac <= 1e-9 * fam.n, (fam.kind, fam.n)
+        ca, zac = sv.amplitude_checks(fam.chi_matrix())
+        assert ca.max() <= 1e-12, (fam.kind, fam.n)
+        assert zac.max() <= 1e-9 * fam.n, (fam.kind, fam.n)
     _announce(4, "all families orthogonal, constant-amplitude, ZAC")
 
 
 def test_criterion_5_sd_order_moments(table_families):
+    def first_member_order(fam):
+        orders, capped, first = sv.sd_orders(fam.chi_matrix()[:1], fam.cfg, sv.DEFAULT_BETA_CAP)
+        return int(orders[0]), bool(capped[0]), float(first[0])
+
     # named cases first
     cfg_a48 = sf.WaveformConfig(48, **CONDITION_A)
-    order, capped, first = sv.measure_sd_order(
-        sf.build_family("pma", cfg_a48).sequences[0])
+    order, capped, first = first_member_order(sf.build_family("pma", cfg_a48))
     assert order >= 5 and not capped
     assert first > sv.moment_tolerance(48, order)
 
-    order, capped, _ = sv.measure_sd_order(
-        sf.build_family("dpma", cfg_a48, kappa=2).sequences[0])
+    order, capped, _ = first_member_order(sf.build_family("dpma", cfg_a48, kappa=2))
     assert order >= 3
 
     cfg_b839 = sf.WaveformConfig(839, **CONDITION_B)
     decomp = fl.Decomposition.from_parts(839, (396, 243, 200))
     fam = sf.build_family("hat_dpma", cfg_b839, kappa=2, decomp=decomp)
     assert fam.sd_order_bound == 1
-    order, capped, _ = sv.measure_sd_order(fam.sequences[0])
+    order, capped, _ = first_member_order(fam)
     assert order >= 1
 
     # blanket: every family member meets its family bound, and whenever the
     # boundary is measurable the first non-vanishing moment clears tolerance
     for fam in table_families:
-        for seq in fam.sequences:
-            order, capped, first = sv.measure_sd_order(seq)
+        orders, capped, first = sv.sd_orders(fam.chi_matrix(), fam.cfg, sv.DEFAULT_BETA_CAP)
+        for order, row_capped, row_first in zip(orders.tolist(), capped.tolist(), first.tolist()):
             assert order >= fam.sd_order_bound, (fam.kind, fam.n)
-            if not capped:
-                assert first > sv.moment_tolerance(seq.n, order), (fam.kind, fam.n)
+            if not row_capped:
+                assert row_first > sv.moment_tolerance(fam.n, order), (fam.kind, fam.n)
     _announce(5, "measured vanishing-moment order >= claimed bound")
 
 

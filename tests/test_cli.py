@@ -176,8 +176,11 @@ def _family_edit(**fields):
       "--out", "{out}"], lambda family: {"parts": 5}),
     (["simulate", "--family", "{family}", "--profile", "{bad}", "--snr", "0",
       "--trials", "10"], lambda family: {"name": "x", "taps": 5}),
+    (["simulate", "--family", "{family}", "--profile", "{bad}", "--snr", "0",
+      "--trials", "10"], lambda family: {"name": "x", "taps": [
+          {"delay_ns": 0, "power_db": 0}, {"delay_ns": 50, "power_db": float("nan")}]}),
 ], ids=["nu_vectors_int", "top_level_list", "sd_order_bound_edited",
-        "decomp_parts_int", "profile_taps_int"])
+        "decomp_parts_int", "profile_taps_int", "profile_power_nan"])
 def test_malformed_json_exits_2_with_one_line(family48, tmp_path, argv, content):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content(family48)))
@@ -208,6 +211,31 @@ def test_beta_cap_outside_domain_exits_2_with_one_line(family48, tmp_path, cmd, 
 def test_bad_simulate_config_exits_2_with_one_line(family48, bad):
     _assert_exits_2_with_one_line(["simulate", "--family", str(family48),
                                    "--trials", "10", *bad])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "pma", "--n", "48", "--gamma", "2", "--alpha", "1/2", "--decomp", "{parts}"],
+    ["--kind", "pma", "--n", "48", "--gamma", "2", "--alpha", "1/2", "--min-csd", "7"],
+    ["--kind", "zc", "--n", "139", "--kappa", "2", "--count", "10", "--min-csd", "13"],
+    ["--kind", "zc", "--n", "139", "--count", "10", "--min-csd", "0"],
+    ["--kind", "zc", "--n", "139", "--count", "-1", "--min-csd", "13"],
+], ids=["pma_decomp", "pma_min_csd", "zc_kappa", "zc_min_csd_0", "zc_count_negative"])
+def test_recipe_argument_the_kind_ignores_exits_2_with_one_line(tmp_path, argv):
+    parts, out = tmp_path / "p48.json", tmp_path / "out.json"
+    parts.write_text('{"parts": [24, 24]}')
+    _assert_exits_2_with_one_line(["build", *[a.format(parts=parts) for a in argv],
+                                   "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--slope", "--eta"], []], ids=["both", "neither"])
+def test_spectrum_needs_exactly_one_measurement_exits_2(family48, tmp_path, flags):
+    out = tmp_path / "spec.csv"
+    # both flags on a grid that resolves both measurements
+    _assert_exits_2_with_one_line(["spectrum", "--family", str(family48), *flags,
+                                   "--span", "32", "--points", str(2 ** 16),
+                                   "--fit-hi", "12", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_oversized_exhaustive_search_exits_2_with_one_line():

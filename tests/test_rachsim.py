@@ -57,6 +57,24 @@ class TestChannelProfile:
         with pytest.raises(DomainError):
             rc.ChannelProfile("bad", (0.0, 1e-9), (0.9, 0.3))
 
+    @pytest.mark.parametrize("delays,powers,match", [
+        ((0.0, 1e-7), (1.5, -0.5), "powers"),
+        ((0.0, 1e-7), (math.nan, math.nan), "powers"),
+        ((0.0, 1e-7), (math.inf, 0.0), "powers"),
+        ((-1e-9, 0.0), (0.5, 0.5), "delays"),
+        ((0.0, math.nan), (0.5, 0.5), "delays"),
+        ((0.0, math.inf), (0.5, 0.5), "delays"),
+    ], ids=["negative_power", "nan_powers", "inf_power", "negative_delay", "nan_delay",
+            "inf_delay"])
+    def test_non_finite_or_negative_taps_refused(self, delays, powers, match):
+        with pytest.raises(DomainError, match=match):
+            rc.ChannelProfile("bad", delays, powers)
+
+    def test_nan_power_db_in_file_refused(self):
+        with pytest.raises(DomainError, match="powers"):
+            rc.ChannelProfile.from_dict({"name": "x", "taps": [
+                {"delay_ns": 0.0, "power_db": 0.0}, {"delay_ns": 50.0, "power_db": math.nan}]})
+
 
 class TestClosedForms:
     def test_flat_fading_orthogonal_family(self, apma139):

@@ -98,31 +98,6 @@ class TestISequence:
             sf.build_i_sequence((3, 2, 2), (1, 1, 1), cfg)
 
 
-class TestHatSequence:
-    def test_concatenation_is_unit_modulus(self, cfg_b139):
-        decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
-        seq = sf.build_hat_sequence(
-            decomp, [(5, 5, 2), (5, 3, 3), (11, 2, 2)],
-            [(1, 1, 1), (1, 1, 1), (1, 1, 1)], cfg_b139)
-        assert seq.n == 139
-        assert np.max(np.abs(np.abs(seq.chi) - 1)) < 1e-12
-
-    def test_zero_rotation_is_identity(self, cfg_b139):
-        decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
-        factors = [(5, 5, 2), (5, 3, 3), (11, 2, 2)]
-        nus = [(1, 1, 1), (1, 1, 1), (1, 1, 1)]
-        plain = sf.build_hat_sequence(decomp, factors, nus, cfg_b139)
-        rotated = sf.build_hat_sequence(decomp, factors, nus, cfg_b139,
-                                        rotation=[0.0, 0.0, 0.0])
-        assert np.array_equal(plain.chi, rotated.chi)
-
-    def test_part_factor_mismatch(self, cfg_b139):
-        decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
-        with pytest.raises(DomainError):
-            sf.build_hat_sequence(decomp, [(5, 5, 2), (5, 3, 3), (11, 3)],
-                                  [(1, 1, 1), (1, 1, 1), (1, 1)], cfg_b139)
-
-
 class TestRotation:
     @pytest.mark.parametrize("parts,ref_deg", [
         ((50, 45, 44), (0.0, 125.12, 236.77)),
@@ -196,7 +171,8 @@ class TestFamilies:
         assert full.sequences[0].chi.base is not None  # rows of one phase matrix
         for kept, ref in zip(fam.sequences, full.sequences):
             assert kept.chi.base is None and kept.chi.nbytes == 139 * 16
-            assert np.array_equal(kept.chi, ref.chi) and kept.meta == ref.meta
+            assert np.array_equal(kept.chi, ref.chi)
+        assert fam.meta == full.meta
 
     @pytest.mark.parametrize("parts", [(96, 43), (72, 35, 32)],
                              ids=["two_parts", "max_part_half"])
@@ -234,6 +210,30 @@ class TestFamilies:
     def test_kappa_the_kind_ignores_rejected(self, cfg_b139, kind, kappa):
         with pytest.raises(DomainError, match="kappa"):
             sf.build_family(kind, cfg_b139, kappa=kappa)
+
+    def test_decomposition_of_another_length_refused(self, cfg_b139):
+        with pytest.raises(DomainError, match="decomposition of 140"):
+            sf.build_family("hat_pma", cfg_b139,
+                            decomp=fl.Decomposition.from_parts(140, (50, 45, 45)))
+
+    @pytest.mark.parametrize("kind,kw,match", [
+        ("pma", {"decomp": fl.Decomposition.from_parts(139, (50, 45, 44))}, "decomposition"),
+        ("dpma", {"kappa": 1, "decomp": fl.Decomposition.from_parts(139, (50, 45, 44))},
+         "decomposition"),
+        ("zc", {"count": 10, "min_csd": 13,
+                "decomp": fl.Decomposition.from_parts(139, (50, 45, 44))}, "decomposition"),
+        ("pma", {"min_csd": 7}, "min_csd"),
+        ("apma", {"min_csd": 7}, "min_csd"),
+        ("zc", {"count": 10, "min_csd": 13, "kappa": 2}, "kappa"),
+        ("pn", {"count": 10, "min_csd": 13, "kappa": 1}, "kappa"),
+        ("zc", {"count": 10, "min_csd": 0}, "min_csd"),
+        ("zc", {"count": -1, "min_csd": 13}, "count"),
+        ("pn", {"count": 0, "min_csd": 13}, "count"),
+    ], ids=["pma_decomp", "dpma_decomp", "zc_decomp", "pma_min_csd", "apma_min_csd",
+            "zc_kappa", "pn_kappa", "zc_min_csd_0", "zc_count_negative", "pn_count_0"])
+    def test_recipe_argument_the_kind_ignores_rejected(self, cfg_b139, kind, kw, match):
+        with pytest.raises(DomainError, match=match):
+            sf.build_family(kind, cfg_b139, **kw)
 
     def test_q_matrix_bit_identical_to_member_q(self, cfg_a48, cfg_b139):
         decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
@@ -280,13 +280,12 @@ def _all_nus(factors):
 
 
 def _oracle_family(kind, cfg, kappa, decomp, count):
-    """Reference: (chi, meta) per member and the family meta, member by member."""
+    """Reference: chi per member and the family meta, member by member."""
     if decomp is None:
         mode = "near" if kind == "near_dpma" else "proper"
         factors = fl.factor_set(cfg.n_seq, kappa, mode).sorted_descending()
         nus = _all_nus(factors)
-        members = [(_oracle_g_chi(factors, nu, cfg),
-                    {"kind": "g", "factors": list(factors), "nu": list(nu)}) for nu in nus]
+        members = [_oracle_g_chi(factors, nu, cfg) for nu in nus]
         meta = {"factor_set": list(factors), "kappa": kappa,
                 "nu_vectors": [list(v) for v in nus]}
         return members[:count], meta
@@ -306,9 +305,7 @@ def _oracle_family(kind, cfg, kappa, decomp, count):
             pieces = [_oracle_g_chi(f, nu, cfg) for f, nu in zip(sets, nu_set)]
             if rotation is not None:
                 pieces = [p * np.exp(1j * t) for p, t in zip(pieces, rotation)]
-            members.append((np.concatenate(pieces), {
-                "kind": "hat", "parts": list(decomp.parts), "factor_sets": sets,
-                "nu": nu_set, "rotation": rotation}))
+            members.append(np.concatenate(pieces))
     return members[:count], meta
 
 
@@ -318,7 +315,7 @@ COND_B = dict(gamma=1, alpha=Fraction(33, 256))
 
 class TestMatrixBuildBitIdentical:
     """Families built as one phase matrix equal the member-by-member build
-    bit for bit: chi, per-member meta, family meta and the exported JSON."""
+    bit for bit: chi, family meta and the exported JSON."""
 
     @pytest.mark.parametrize("cond", [COND_A, COND_B], ids=["A", "B"])
     @pytest.mark.parametrize("kind,n,kappa,parts,count", [
@@ -341,17 +338,16 @@ class TestMatrixBuildBitIdentical:
         members, meta = _oracle_family(kind, cfg, kappa, decomp, count)
         assert fam.meta == meta
         assert len(fam) == len(members)
-        for seq, (chi, member_meta) in zip(fam.sequences, members):
+        for seq, chi in zip(fam.sequences, members):
             assert seq.chi.tobytes() == chi.tobytes()
-            assert seq.meta == member_meta
         oracle = dataclasses.replace(fam, meta=meta, sequences=[
-            sf.CaSequence(chi, cfg, member_meta) for chi, member_meta in members])
+            sf.CaSequence(chi, cfg) for chi in members])
         assert (sf.family_to_dict(fam, include_sequences=True)
                 == sf.family_to_dict(oracle, include_sequences=True))
         # q_matrix scales chi_matrix in place, so the members must stay untouched
         assert fam.q_matrix().tobytes() == np.vstack([s.q for s in fam.sequences]).tobytes()
         assert all(seq.chi.tobytes() == chi.tobytes()
-                   for seq, (chi, _) in zip(fam.sequences, members))
+                   for seq, chi in zip(fam.sequences, members))
 
     @pytest.mark.parametrize("cond", [COND_A, COND_B], ids=["A", "B"])
     @pytest.mark.parametrize("factors", [(2, 2, 3), (2, 3, 4, 5), (2, 2, 2, 3, 3, 5)])
@@ -363,51 +359,63 @@ class TestMatrixBuildBitIdentical:
         for nu in _all_nus(factors)[::7]:
             seq = sf.build_i_sequence(factors, nu, cfg)
             assert seq.chi.tobytes() == _oracle_chi(factors, nu, weights, cfg).tobytes()
-            assert seq.meta == {"kind": "i", "factors": list(factors), "nu": list(nu)}
             seq = sf.build_g_sequence(descending, nu[::-1], cfg)
             assert seq.chi.tobytes() == _oracle_g_chi(descending, nu[::-1], cfg).tobytes()
-            assert seq.meta == {"kind": "g", "factors": list(descending), "nu": list(nu[::-1])}
+
+
+def _shifted_nu(fam, index, shift):
+    """Index vector a cyclic shift of member index lands on: the leading
+    index advances by shift / (N / A) modulo the largest factor A."""
+    a = fam.meta["factor_set"][0]
+    nu = fam.meta["nu_vectors"][index]
+    return [(nu[0] + shift // (fam.n // a)) % a] + nu[1:]
 
 
 class TestCsSubfamily:
     def test_admissible_shift_set(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
-        leader = fam.sequences[0]  # nu = (1,1,1,1,1), leading factor 3
-        members = sf.cs_subfamily(leader)
-        shifts = [m.meta["cyclic_shift"] for m in members]
+        # member 0 has nu = (1,1,1,1,1) and leading factor 3
+        shifts = [k for k, _ in sf.cs_subfamily(fam, 0)]
         assert shifts == [0, 16]  # l = 2 = 3 - nu_0 excluded
-        assert len(members) == 2
 
     def test_members_match_direct_construction(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
-        leader = fam.sequences[0]
-        for member in sf.cs_subfamily(leader):
-            direct = sf.build_g_sequence((3, 2, 2, 2, 2),
-                                         member.meta["nu"], cfg_a48)
-            assert np.max(np.abs(member.chi - direct.chi)) < 1e-12
+        for index in range(len(fam)):
+            for k, member in sf.cs_subfamily(fam, index):
+                direct = sf.build_g_sequence((3, 2, 2, 2, 2),
+                                             _shifted_nu(fam, index, k), cfg_a48)
+                assert np.max(np.abs(member.chi - direct.chi)) < 1e-12
 
     def test_shift_theorem_in_time_domain(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
         leader = fam.sequences[0]
         n = leader.n
         t_leader = np.fft.ifft(leader.q) * math.sqrt(n)
-        for member in sf.cs_subfamily(leader):
-            k = member.meta["cyclic_shift"]
+        for k, member in sf.cs_subfamily(fam, 0):
             t_member = np.fft.ifft(member.q) * math.sqrt(n)
             assert np.allclose(t_member, np.roll(t_leader, -k), atol=1e-12)
 
     def test_subfamilies_tile_family(self, cfg_a48):
         fam = sf.build_family("dpma", cfg_a48, kappa=2)  # factors {4,4,3}
         seen = set()
-        count = 0
-        for seq in fam.sequences:
-            if tuple(seq.meta["nu"][1:]) in seen:
+        reached = []
+        for index, nu in enumerate(fam.meta["nu_vectors"]):
+            if tuple(nu[1:]) in seen:
                 continue
-            seen.add(tuple(seq.meta["nu"][1:]))
-            members = sf.cs_subfamily(seq)
-            count += len(members)
-            assert len(members) == max(seq.meta["factors"]) - 1
-        assert count == len(fam)
+            seen.add(tuple(nu[1:]))
+            members = sf.cs_subfamily(fam, index)
+            assert len(members) == fam.meta["factor_set"][0] - 1
+            reached += [tuple(_shifted_nu(fam, index, k)) for k, _ in members]
+        assert sorted(reached) == sorted(map(tuple, fam.meta["nu_vectors"]))
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_outside_family_refused(self, cfg_a48, index):
+        with pytest.raises(DomainError, match="index"):
+            sf.cs_subfamily(sf.build_family("pma", cfg_a48), index)
+
+    def test_concatenated_family_refused(self, cfg_b139):
+        with pytest.raises(DomainError, match="flat"):
+            sf.cs_subfamily(sf.build_family("hat_pma", cfg_b139), 0)
 
 
 class TestBaselines:
@@ -434,8 +442,12 @@ class TestBaselines:
     def test_multiroot_family_layout(self, cfg_b839):
         fam = sf.build_family("zc", cfg_b839, count=64, min_csd=26)
         assert len(fam) == 64
-        roots = [s.meta["root"] for s in fam.sequences]
+        roots = [m["root"] for m in fam.meta["members"]]
         assert roots.count(1) == 32 and roots.count(2) == 32
+        for seq, m in zip(fam.sequences, fam.meta["members"]):
+            base = sf.build_zc_sequence(m["root"], 839, cfg_b839).chi
+            shift = np.exp(2j * np.pi * np.arange(839) * m["cyclic_shift"] / 839)
+            assert np.allclose(seq.chi, base * shift, atol=1e-9)
 
     def test_m_sequence_period_and_balance(self):
         bits = sf.m_sequence()
@@ -446,8 +458,10 @@ class TestBaselines:
     def test_pn_family(self, cfg_b839):
         fam = sf.build_family("pn", cfg_b839, count=64, min_csd=26)
         assert len(fam) == 64
-        offsets = [s.meta["offset"] for s in fam.sequences]
-        assert offsets == [26 * k for k in range(64)]
+        bits = sf.m_sequence()
+        signs = np.where(np.arange(839) % 2 == 0, 1.0, -1.0)
+        for k, seq in enumerate(fam.sequences):  # member k starts 26 k into the stream
+            assert np.array_equal(seq.chi, signs * (1.0 - 2.0 * bits[26 * k:26 * k + 839]))
         q = fam.q_matrix()
         gram = np.abs(q.conj() @ q.T - np.eye(64))
         assert gram.max() > 1e-3  # not an orthogonal family

@@ -11,93 +11,97 @@ from caseq.seqforge import CaSequence
 
 
 def _chi_with_time_samples(time_samples, cfg):
-    """CaSequence whose inverse-DFT equals the given time-domain vector."""
+    """chi (as a one-row matrix) whose inverse DFT equals the given time-domain vector."""
     n = len(time_samples)
     q = np.fft.fft(time_samples) / math.sqrt(n)  # unitary forward DFT
     idx = np.arange(n)
     signs = np.where((idx * cfg.gamma) % 2 == 0, 1.0, -1.0)
-    return CaSequence(signs * q * math.sqrt(n), cfg)
+    return (signs * q * math.sqrt(n))[None, :]
 
 
-class TestCheckCa:
+def _zc_row(cfg=None):
+    return sf.build_zc_sequence(1, 139, cfg).chi[None, :]
+
+
+class TestAmplitudeChecks:
     def test_pma_is_ca(self, cfg_a48):
-        fam = sf.build_family("pma", cfg_a48)
-        assert sv.check_ca(fam.sequences[0]) < 1e-12
+        ca, _ = sv.amplitude_checks(sf.build_family("pma", cfg_a48).chi_matrix())
+        assert ca.shape == (2,) and ca.max() < 1e-12
 
     def test_zc_is_ca(self):
-        assert sv.check_ca(sf.build_zc_sequence(1, 139)) < 1e-12
+        assert sv.amplitude_checks(_zc_row())[0][0] < 1e-12
 
-    def test_gaussian_negative_control(self, cfg_a48):
+    def test_gaussian_negative_control(self):
         rng = np.random.default_rng(5)
         chi = rng.normal(size=48) + 1j * rng.normal(size=48)
-        seq = CaSequence(chi, cfg_a48)
-        assert sv.check_ca(seq) > 0.1
+        assert sv.amplitude_checks(chi[None, :])[0][0] > 0.1
 
-
-class TestCheckZac:
     def test_pma_zac(self, cfg_a48):
-        fam = sf.build_family("pma", cfg_a48)
-        assert sv.check_zac(fam.sequences[0]) < 1e-9
+        _, zac = sv.amplitude_checks(sf.build_family("pma", cfg_a48).chi_matrix())
+        assert zac.max() < 1e-9
 
     def test_truncated_m_sequence_time_series_fails_zac(self, cfg_b839):
         # the raw +-1 register stream, truncated, used as time samples
         bits = sf.m_sequence()[:839]
         bpsk = (1.0 - 2.0 * bits) / math.sqrt(839)
-        seq = _chi_with_time_samples(bpsk.astype(complex), cfg_b839)
-        assert sv.check_zac(seq) > 1e-3
+        chi = _chi_with_time_samples(bpsk.astype(complex), cfg_b839)
+        assert sv.amplitude_checks(chi)[1][0] > 1e-3
 
-    def test_constant_chi_delta_in_time(self, cfg_a48):
-        seq = CaSequence(np.ones(48, dtype=complex), cfg_a48)
+    def test_constant_chi_delta_in_time(self):
         # constant magnitude in frequency: off-peak autocorrelation vanishes
-        assert sv.check_zac(seq) < 1e-12
+        assert sv.amplitude_checks(np.ones((1, 48), dtype=complex))[1][0] < 1e-12
 
     def test_duality_ca_implies_zac(self, cfg_b839):
         decomp = fl.Decomposition.from_parts(839, (396, 243, 200))
         fam = sf.build_family("hat_dpma", cfg_b839, kappa=3, decomp=decomp)
-        for seq in fam.sequences[:5]:
-            if sv.check_ca(seq) <= 1e-12:
-                assert sv.check_zac(seq) <= 1e-9 * seq.n
+        ca, zac = sv.amplitude_checks(fam.chi_matrix()[:5])
+        assert (ca <= 1e-12).any()
+        assert (zac[ca <= 1e-12] <= 1e-9 * fam.n).all()
 
 
-class TestMeasureSdOrder:
+def _leader_order(fam, beta_cap=sv.DEFAULT_BETA_CAP):
+    """(order, capped, magnitude) of the first member."""
+    orders, capped, mags = sv.sd_orders(fam.chi_matrix()[:1], fam.cfg, beta_cap)
+    return int(orders[0]), bool(capped[0]), float(mags[0])
+
+
+class TestSdOrders:
     def test_pma_48_condition_a(self, cfg_a48):
-        fam = sf.build_family("pma", cfg_a48)
-        order, capped, first = sv.measure_sd_order(fam.sequences[0])
+        order, capped, first = _leader_order(sf.build_family("pma", cfg_a48))
         assert order == 5 and not capped
         assert first > sv.moment_tolerance(48, 5)
 
     def test_dpma_orders(self, cfg_a48):
         for kappa in (1, 2, 3):
             fam = sf.build_family("dpma", cfg_a48, kappa=kappa)
-            order, capped, _ = sv.measure_sd_order(fam.sequences[0])
-            assert order >= fam.sd_order_bound
-            assert not capped
+            orders, capped, _ = sv.sd_orders(fam.chi_matrix(), cfg_a48, sv.DEFAULT_BETA_CAP)
+            assert orders.min() >= fam.sd_order_bound
+            assert not capped.any()
 
     def test_zc_order_zero(self):
-        order, capped, first = sv.measure_sd_order(sf.build_zc_sequence(1, 139))
-        assert order == 0 and not capped
-        assert first > sv.moment_tolerance(139, 0)
+        cfg = sf.WaveformConfig(n_seq=139)
+        orders, capped, first = sv.sd_orders(_zc_row(cfg), cfg, sv.DEFAULT_BETA_CAP)
+        assert orders[0] == 0 and not capped[0]
+        assert first[0] > sv.moment_tolerance(139, 0)
 
     def test_condition_b_needs_both_moment_kinds(self, cfg_b839):
         decomp = fl.Decomposition.from_parts(839, (396, 243, 200))
         fam = sf.build_family("hat_dpma", cfg_b839, kappa=2, decomp=decomp)
-        order, capped, _ = sv.measure_sd_order(fam.sequences[0])
+        order, capped, _ = _leader_order(fam)
         assert order >= fam.sd_order_bound == 1
 
     def test_pma_condition_b_floor(self):
         cfg = sf.WaveformConfig(48, gamma=1, alpha=Fraction(33, 256))
         fam = sf.build_family("pma", cfg)
         assert fam.sd_order_bound == 2  # floor(5/2)
-        order, _, _ = sv.measure_sd_order(fam.sequences[0])
-        assert order >= 2
+        assert _leader_order(fam)[0] >= 2
 
     def test_cyclic_shift_preserves_order(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
-        leader = fam.sequences[0]
-        base_order, _, _ = sv.measure_sd_order(leader)
-        for member in sf.cs_subfamily(leader):
-            order, _, _ = sv.measure_sd_order(member)
-            assert order >= base_order
+        base_order = _leader_order(fam)[0]
+        shifted = np.vstack([m.chi for _, m in sf.cs_subfamily(fam, 0)])
+        orders, _, _ = sv.sd_orders(shifted, cfg_a48, sv.DEFAULT_BETA_CAP)
+        assert orders.min() >= base_order
 
     def test_moment_tolerance_is_cached_sum(self):
         sv.moment_tolerance.cache_clear()
@@ -107,9 +111,8 @@ class TestMeasureSdOrder:
         assert sv.moment_tolerance.cache_info().hits == 1
 
     def test_beta_cap_guard(self, cfg_a48):
-        fam = sf.build_family("pma", cfg_a48)
         with pytest.raises(ValueError):
-            sv.measure_sd_order(fam.sequences[0], beta_cap=9)
+            _leader_order(sf.build_family("pma", cfg_a48), beta_cap=9)
 
 
 class TestCheckFamily:
@@ -127,7 +130,7 @@ class TestCheckFamily:
     def test_collinear_members_flagged(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
         seq = fam.sequences[0]
-        negated = CaSequence(-seq.chi, cfg_a48, meta=dict(seq.meta))
+        negated = CaSequence(-seq.chi, cfg_a48)
         mixed = sf.Family(sequences=[seq, negated], kind="pma", cfg=cfg_a48,
                           sd_order_bound=0)
         rep = sv.check_family(mixed)
@@ -225,8 +228,8 @@ class TestBatchedVerifier:
         assert rep.measured_sd_order == min(o[0] for o in oracle)
         assert rep.sd_order_capped == any(o[1] for o in oracle)
         assert (rep.condition, rep.size) == (fam.cfg.condition, len(fam.sequences))
-        for seq, (order, capped, _) in zip(fam.sequences, oracle):
-            assert sv.measure_sd_order(seq, beta_cap)[:2] == (order, capped)
+        orders, capped, _ = sv.sd_orders(fam.chi_matrix(), fam.cfg, beta_cap)
+        assert list(zip(orders.tolist(), capped.tolist())) == [o[:2] for o in oracle]
 
     @pytest.mark.parametrize("beta_cap", [3, 6])
     def test_mixed_family_takes_minimum_and_capped_over_members(self, beta_cap):
@@ -237,10 +240,10 @@ class TestBatchedVerifier:
         assert rep.measured_sd_order == 2
         assert rep.sd_order_capped == any(o[1] for o in oracle) == (beta_cap < 5)
         assert abs(rep.ca_max_dev - 1.0) < 1e-12
-        for seq, (order, capped, mag) in zip(fam.sequences, oracle):
-            got = sv.measure_sd_order(seq, beta_cap)
-            assert got[:2] == (order, capped)
-            assert abs(got[2] - mag) <= _moment_bound(48, min(order, beta_cap))
+        got = zip(*sv.sd_orders(fam.chi_matrix(), fam.cfg, beta_cap))
+        for (order, capped, mag), (got_order, got_capped, got_mag) in zip(oracle, got):
+            assert (got_order, got_capped) == (order, capped)
+            assert abs(got_mag - mag) <= _moment_bound(48, min(order, beta_cap))
 
     @pytest.mark.parametrize("n,kind,kappa,parts", [
         (839, "pma", 0, None), (1151, "adpma", 1, (468, 440, 243))])
@@ -260,17 +263,17 @@ class TestBatchedVerifier:
     @pytest.mark.parametrize("name", ["pma", "dpma", "hat_dpma", "adpma", "zc", "pn"])
     def test_batched_zac_matches_three_fft_check(self, name):
         fam = FAMILIES[name]()
-        _, zac = sv._amplitude_checks(fam.chi_matrix())
+        _, zac = sv.amplitude_checks(fam.chi_matrix())
         for seq, got in zip(fam.sequences, zac):
             ref = _oracle_zac(seq)
             assert abs(got - ref) <= 1e-15
-            assert sv.check_zac(seq) == got
+            assert sv.amplitude_checks(seq.chi[None, :])[1][0] == got
 
     def test_batched_zac_flags_perturbed_member(self, cfg_b139):
         fam = sf.build_family("apma", cfg_b139, decomp=_D139)
         chi = fam.chi_matrix()
         chi[3, 10] *= 1.01
-        _, zac = sv._amplitude_checks(chi)
+        _, zac = sv.amplitude_checks(chi)
         bent = CaSequence(chi[3], cfg_b139)
         assert abs(zac[3] - _oracle_zac(bent)) <= 1e-15
         assert zac[3] > 1e-9 * 139
@@ -282,7 +285,7 @@ class TestBatchedVerifier:
         with pytest.raises(fl.DomainError):
             sv.check_family(fam, beta_cap=beta_cap)
         with pytest.raises(fl.DomainError):
-            sv.measure_sd_order(fam.sequences[0], beta_cap=beta_cap)
+            sv.sd_orders(fam.chi_matrix(), fam.cfg, beta_cap)
 
     @pytest.mark.parametrize("beta_cap", [0, 8])
     def test_beta_cap_domain_ends(self, cfg_a48, beta_cap):
