@@ -46,9 +46,10 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _write_manifest(args, outputs: list[Path]):
-    """Write the run's manifest.  Everything outside its "run" block is a
-    function of the command line, so reruns agree there byte for byte."""
+def _write_manifest(args, outputs: list[Path], record: dict | None = None):
+    """Write the run's manifest, with the command's own `record` entries.
+    Everything outside its "run" block is a function of the command line,
+    so reruns agree there byte for byte."""
     if not outputs:
         return
     manifest = {
@@ -59,6 +60,7 @@ def _write_manifest(args, outputs: list[Path]):
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "outputs": [str(p) for p in outputs],
+        **(record or {}),
         "run": {"timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()},
     }
     _write_json(outputs[0].with_suffix(outputs[0].suffix + ".manifest.json"), manifest)
@@ -203,7 +205,10 @@ def cmd_simulate(args) -> int:
         _write_csv(out, ["snr_db", "metric", "mc_value", "ci_halfwidth",
                          "closed_form"], rachsim.result_csv_rows(result))
         outputs.append(out)
-        _write_manifest(args, outputs)
+        # which leakage tables and noise the model ran on, and their size
+        echo = result.config_echo
+        _write_manifest(args, outputs, {"simulation": {
+            k: echo[k] for k in ("leakage", "noise", "table_bytes")}})
     return 0
 
 

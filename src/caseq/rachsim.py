@@ -9,6 +9,9 @@ Carlo samples these J numbers directly from the leakage tensor C_l and
 coloured J-dimensional noise (white when the candidates are orthogonal),
 and the closed-form false-alarm, false-identification and
 correct-identification probabilities read their variances from the same
+tensor.  The tensor is held as a lookup, C_l[k, i] = table[l, index[k, i]]:
+for a flat phase-assigned family the table has one entry per tone and tap,
+built from the family's recipe, and for every other family it is the dense
 tensor.  Estimates come with one-sigma half-widths: Wilson intervals for
 p_fa and p_c, and the per-trial standard error for p_fid, whose J - 1
 events in a trial share one channel draw.
@@ -27,11 +30,16 @@ from typing import Sequence
 import numpy as np
 
 from .factorlab import DomainError
-from .seqforge import Family
+from .seqforge import Family, _phase_rows
 
 #: Monte Carlo batch size; tallies are merged per batch with a batch-derived
 #: substream, so results do not depend on how batches are scheduled.
 BATCH = 4096
+
+#: Most bytes the dense leakage tables (L x J^2 complex entries and a J x J
+#: index) of a family without a recipe may take; larger ones are refused
+#: before anything is allocated.
+MAX_DENSE_TABLE_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -152,14 +160,21 @@ class RaResult:
     sigma_c: float
 
 
+def _exponential(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+    """Exponential draws of the given mean, -variance log(1 - u), one uniform
+    each: the squared modulus of a _cscg draw, from the same first uniform."""
+    x = rng.random(shape)
+    np.log1p(np.negative(x, out=x), out=x)
+    x *= -variance
+    return x
+
+
 def _cscg(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
     """Circularly-symmetric complex Gaussians via the polar (Box-Muller) form,
     so draws depend only on the generator's uniform stream."""
-    mag = rng.random(shape)
+    mag = _exponential(rng, shape, variance)
     u2 = rng.random(shape)
     # mag = sqrt(-variance log(1 - u1)), then mag exp(2j pi u2), in place
-    np.log1p(np.negative(mag, out=mag), out=mag)
-    mag *= -variance
     np.sqrt(mag, out=mag)
     out = np.zeros(mag.shape, dtype=complex)
     np.multiply(u2, 2.0 * np.pi, out=out.imag)
@@ -174,32 +189,107 @@ def _batch_rng(seed: int, label: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, (label << 32) | batch]))
 
 
+def _tap_phases(n: int, profile: ChannelProfile, delta_f_hz: float) -> np.ndarray:
+    """sqrt(N) exp(-2j pi df n tau_l), tap l's channel over the N tones as the
+    correlators pick it up (L x N)."""
+    idx = np.arange(n)
+    return np.array([math.sqrt(n) * np.exp(-2j * np.pi * delta_f_hz * delay * idx)
+                     for delay in profile.delays_s])
+
+
 def _leakage(q_matrix: np.ndarray, profile: ChannelProfile,
-             delta_f_hz: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Leakage tensor and the variances the closed forms read from it.
+             delta_f_hz: float) -> np.ndarray:
+    """Leakage tensor of any candidate set by dense products (L x J x J).
 
     C_l[k, i] = sqrt(N) sum_n q_k[n] exp(-2j pi df n tau_l) conj(q_i[n]) is
-    what the i-th correlator picks up through tap l when q_k is sent
-    (an L x J x J tensor).  The variances are accumulated tap by tap:
-    sigma_fie[i, k] = sum_l p_l |C_l[k, i]|^2
-                    = N sum_l p_l |sum_n conj(q_i) q_k exp(-2j pi df n tau_l)|^2
-    with a zero diagonal, and sigma_c = sum_l p_l |C_l[k, k]|^2 averaged
-    over k; every k of a constant-amplitude family gives
+    what the i-th correlator picks up through tap l when q_k is sent.
+    """
+    q_h = q_matrix.conj().T
+    tensor = np.empty((len(profile.delays_s), len(q_matrix), len(q_matrix)), dtype=complex)
+    for c, ph in zip(tensor, _tap_phases(q_matrix.shape[1], profile, delta_f_hz)):
+        np.matmul(q_matrix * ph, q_h, out=c)
+    return tensor
+
+
+@dataclass(frozen=True)
+class _LeakageTables:
+    """The leakage tensor of the picked members as a lookup,
+    C_l[k, i] = table[l, index[k, i]], and the `_noise_colour` of their Gram
+    matrix M = conj(Q) Q^T (None for white correlator noise)."""
+
+    table: np.ndarray   # L x W
+    index: np.ndarray   # J x J, into the W columns
+    colour: np.ndarray | None
+    source: str         # "recipe" or "dense"
+
+
+def _recipe_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
+                   delta_f_hz: float) -> _LeakageTables:
+    """Tables of a flat phase-assigned family from its factor set and nu.
+
+    q_k conj(q_i) = N^-1 exp(2j pi sum_m (nu_km - nu_im) l_m / A_m): the sign
+    and the condition-B twist cancel.  So C_l[k, i] = G_l[d], where G_l is
+    sqrt(N) times the ifftn of tap l's phases over the mixed-radix digits
+    and d = sum_m ((nu_km - nu_im) mod A_m) phi_m, phi_m = prod(factors[:m]):
+    an L x N table.  M[i, k] is 1 where d = 0 and 0 elsewhere, the identity
+    for distinct nu.  The picked rows are first checked against the recipe,
+    at O(J N), so a family whose rows and meta disagree is refused rather
+    than simulated under the wrong model.
+    """
+    factors, nus = family.meta["factor_set"], family.meta["nu_vectors"]
+    nu = np.array([nus[p] for p in pick])
+    rows = np.array([family.sequences[p].chi for p in pick])
+    rebuilt = _phase_rows(factors, nu, family.cfg)
+    if rows.shape != rebuilt.shape or not np.abs(rows - rebuilt).max() <= 1e-12:
+        raise DomainError(f"{family.kind} family rows do not match the recipe in its meta")
+    index = np.zeros((len(pick), len(pick)), dtype=np.intp)
+    for col, a, w in zip(nu.T, factors, np.cumprod([1, *factors[:-1]])):
+        index += ((col[:, None] - col[None, :]) % a) * w
+    # n = sum_m l_m phi_m puts digit l_0 on the fastest axis: factors reversed
+    phases = _tap_phases(family.n, profile, delta_f_hz).reshape(-1, *factors[::-1])
+    table = np.fft.ifftn(phases, axes=range(1, len(factors) + 1)).reshape(-1, family.n)
+    return _LeakageTables(table, index, _noise_colour((index == 0).astype(float)), "recipe")
+
+
+def _dense_tables(q_matrix: np.ndarray, profile: ChannelProfile,
+                  delta_f_hz: float) -> _LeakageTables:
+    """Tables of any candidate set: the `_leakage` tensor, one row per tap,
+    at index[k, i] = k J + i."""
+    j = len(q_matrix)
+    return _LeakageTables(_leakage(q_matrix, profile, delta_f_hz).reshape(-1, j * j),
+                          np.arange(j * j).reshape(j, j),
+                          _noise_colour(q_matrix.conj() @ q_matrix.T), "dense")
+
+
+def _leakage_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
+                    delta_f_hz: float) -> _LeakageTables:
+    """Tables of the picked members: from the recipe of a flat family that
+    carries one (factor_set and nu_vectors in its meta), dense otherwise."""
+    if "factor_set" in family.meta and "nu_vectors" in family.meta:
+        return _recipe_tables(family, pick, profile, delta_f_hz)
+    j = len(pick)
+    need = (16 * len(profile.delays_s) + 8) * j * j
+    if need > MAX_DENSE_TABLE_BYTES:
+        raise DomainError(
+            f"{j} {family.kind} sequences need {need / 2 ** 30:.1f} GiB of dense leakage "
+            f"tables, above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
+    return _dense_tables(family.q_matrix()[pick], profile, delta_f_hz)
+
+
+def _variances(tables: _LeakageTables, powers: Sequence[float]) -> tuple[np.ndarray, float]:
+    """The leakage variances the closed forms read.
+
+    With s = sum_l p_l |table_l|^2, sigma_fie[i, k] = sum_l p_l |C_l[k, i]|^2
+    = s[index[k, i]] with a zero diagonal, and sigma_c = sum_l p_l |C_l[k, k]|^2
+    averaged over k; every k of a constant-amplitude family gives
     sigma_c = (1/N) sum_l p_l |sum_n exp(-2j pi df n tau_l)|^2.
     """
-    j, n = q_matrix.shape
-    q_h = q_matrix.conj().T
-    idx = np.arange(n)
-    tensor = np.empty((len(profile.delays_s), j, j), dtype=complex)
-    acc = np.zeros((j, j))
-    for c, delay, p in zip(tensor, profile.delays_s, profile.powers):
-        ph = math.sqrt(n) * np.exp(-2j * np.pi * delta_f_hz * delay * idx)
-        np.matmul(q_matrix * ph, q_h, out=c)
-        acc += p * np.abs(c) ** 2
-    sigma_c = float(np.mean(np.diagonal(acc)))
-    sigma_fie = acc.T.copy()
+    s = np.zeros(tables.table.shape[1])
+    for row, p in zip(tables.table, powers):
+        s += p * np.abs(row) ** 2
+    sigma_fie = s[tables.index].T
     np.fill_diagonal(sigma_fie, 0.0)
-    return tensor, sigma_fie, sigma_c
+    return sigma_fie, float(np.mean(s[np.diagonal(tables.index)]))
 
 
 def _closed_forms(sigma_fie: np.ndarray, sigma_c: float, beta: float,
@@ -225,26 +315,15 @@ def _fie_stats(sigma_fie: np.ndarray) -> tuple[float, float]:
     return (float(off.max()), float(off.mean())) if off.size else (0.0, 0.0)
 
 
-def closed_form_metrics(q_matrix: np.ndarray, profile: ChannelProfile,
-                        beta: float, phi: float,
-                        delta_f_hz: float = 1250.0) -> dict:
-    """Exact detection probabilities for the exponential correlator statistics."""
-    _, sigma_fie, sigma_c = _leakage(q_matrix, profile, delta_f_hz)
-    fie_max, fie_mean = _fie_stats(sigma_fie)
-    return {**_closed_forms(sigma_fie, sigma_c, beta, phi), "sigma_c": sigma_c,
-            "sigma_fie_max": fie_max, "sigma_fie_mean": fie_mean}
-
-
-def _noise_colour(q_matrix: np.ndarray) -> np.ndarray | None:
-    """A with A^T conj(A) = M = conj(Q) Q^T, or None when M is the identity
-    to 1e-9 (orthogonal rows: white correlator noise).
+def _noise_colour(gram: np.ndarray) -> np.ndarray | None:
+    """A with A^T conj(A) = M, the Gram matrix conj(Q) Q^T, or None when M
+    is the identity to 1e-9 (orthogonal rows: white correlator noise).
 
     White J-dimensional noise times A has covariance E[w_i conj(w_j)] =
     M[i, j], that of N-dimensional white noise correlated against the rows
     of Q.  A = chol(M)^T; when M is singular (more sequences than tones),
     A = sqrt(Lambda) V^T from its eigendecomposition.
     """
-    gram = q_matrix.conj() @ q_matrix.T
     if np.allclose(gram, np.eye(len(gram)), rtol=0.0, atol=1e-9):
         return None
     try:
@@ -261,6 +340,15 @@ def _noise(rng: np.random.Generator, shape, variance: float,
     return w if colour is None else w @ colour
 
 
+def _noise_energy(rng: np.random.Generator, shape, variance: float,
+                  colour: np.ndarray | None) -> np.ndarray:
+    """|w|^2 of `_noise`.  For white noise that is an exponential draw from
+    the first of _cscg's two uniforms, so no phase is drawn."""
+    if colour is None:
+        return _exponential(rng, shape, variance)
+    return np.abs(_noise(rng, shape, variance, colour)) ** 2
+
+
 def wilson_sigma(successes: int, n: int) -> float:
     """Half-width of the z=1 Wilson interval (a robust one-sigma proxy)."""
     if n == 0:
@@ -271,12 +359,12 @@ def wilson_sigma(successes: int, n: int) -> float:
 
 
 def _subset(family: Family, j: int, seed: int) -> np.ndarray:
-    q = family.q_matrix()
+    """Sorted indices of the j members identified: the whole family, or a
+    seeded draw from it."""
     if j == len(family):
-        return q
+        return np.arange(j)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xC0FFEE]))
-    pick = np.sort(rng.choice(len(family), size=j, replace=False))
-    return q[pick]
+    return np.sort(rng.choice(len(family), size=j, replace=False))
 
 
 def run_simulation(cfg: RaSimConfig) -> RaResult:
@@ -286,11 +374,13 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
     channel and noise) and `trials` no-request trials.  The J correlator
     outputs are sampled directly: y = sum_l g_l C_l[k, :] + w for a request
     and y = w without one, with tap gains g_l ~ CN(0, p_l), the leakage
-    tensor C_l of `_leakage` built once per run, and w white CN(0, 1/snr)
-    noise times chol(M)^T, M = conj(Q) Q^T.  This is the distribution of
-    correlating the N-tone observation sqrt(N) q_k*h + z against the
-    candidates.  For orthogonal families M is the identity to 1e-9 and the
-    multiply is skipped.  The closed forms read the same tensor.
+    C_l[k, i] = table[l, index[k, i]] of `_leakage_tables` built once per
+    run, and w white CN(0, 1/snr) noise times chol(M)^T, M = conj(Q) Q^T.
+    This is the distribution of correlating the N-tone observation
+    sqrt(N) q_k*h + z against the candidates.  For orthogonal families M is
+    the identity to 1e-9: the multiply is skipped, and a no-request trial
+    draws only |w|^2, an exponential of mean 1/snr.  The closed forms read
+    the same tables.
 
     All randomness derives from (seed, SNR index, batch index) Philox keys,
     drawn in the order k, tap gains, request noise, no-request noise, so a
@@ -304,17 +394,19 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
     fraction, std(ddof=1) / sqrt(trials).
     """
     fam = cfg.family
-    q = np.ascontiguousarray(_subset(fam, cfg.j_sequences, cfg.seed))
-    j = q.shape[0]
+    pick = _subset(fam, cfg.j_sequences, cfg.seed)
+    j = len(pick)
+    tables = _leakage_tables(fam, pick, cfg.profile, cfg.delta_f_hz)
     if cfg.p_fa_target is not None and cfg.trials * j * cfg.p_fa_target < 10:
         warnings.warn(
             f"{cfg.trials} trials cannot resolve p_fa={cfg.p_fa_target:g}; "
             f"rely on the closed-form column and validate at a relaxed target",
             stacklevel=2)
-    leak, sigma_fie, sigma_c = _leakage(q, cfg.profile, cfg.delta_f_hz)
-    colour = _noise_colour(q)
+    sigma_fie, sigma_c = _variances(tables, cfg.profile.powers)
+    colour = tables.colour
     tap_p = np.sqrt(np.asarray(cfg.profile.powers))
-    # one reused buffer for the tap-by-tap gather of C_l[k, :]
+    # reused buffers for the table positions of C_l[k, :] and their tap-by-tap gather
+    rows = np.empty((min(BATCH, cfg.trials), j), dtype=np.intp)
     tap = np.empty((min(BATCH, cfg.trials), j), dtype=complex)
 
     per_snr = []
@@ -333,9 +425,10 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             ks = rng.integers(0, j, size=b)
             gains = _cscg(rng, (b, len(tap_p))) * tap_p
             y = _noise(rng, (b, j), noise_var, colour)
-            buf = tap[:b]
+            at, buf = rows[:b], tap[:b]
+            np.take(tables.index, ks, axis=0, out=at, mode="clip")
             for l in range(len(tap_p)):
-                np.take(leak[l], ks, axis=0, out=buf, mode="clip")
+                np.take(tables.table[l], at, out=buf, mode="clip")
                 buf *= gains[:, l, None]
                 y += buf
             hits = np.abs(y) ** 2 > beta
@@ -345,8 +438,7 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             fid_sum += int(fid.sum())
             fid_sq += int((fid * fid).sum())
             y = hits = None  # free the request outputs before the next draw
-            y = _noise(rng, (b, j), noise_var, colour)
-            fa_count += int((np.abs(y) ** 2 > beta).sum())
+            fa_count += int((_noise_energy(rng, (b, j), noise_var, colour) > beta).sum())
             done += b
             batch_idx += 1
         t = cfg.trials
@@ -370,6 +462,9 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             "delta_f_hz": cfg.delta_f_hz,
             "snr_db_list": [float(s) for s in cfg.snr_db_list],
             "p_fa_target": cfg.p_fa_target, "beta": cfg.beta,
+            "leakage": tables.source,
+            "noise": "white" if colour is None else "coloured",
+            "table_bytes": tables.table.nbytes + tables.index.nbytes,
         },
         per_snr=per_snr,
         sigma_fie_max=fie_max,

@@ -244,11 +244,17 @@ def test_oversized_exhaustive_search_exits_2_with_one_line():
                                    "--mode", "exhaustive"])
 
 
-def test_rerun_manifest_identical_outside_run_block(tmp_path):
-    out = tmp_path / "fam.json"
-    manifest = tmp_path / "fam.json.manifest.json"
-    argv = ["build", "--n", "48", "--kind", "dpma", "--kappa", "2", "--alpha", "1/2",
-            "--gamma", "2", "--out", str(out)]
+@pytest.mark.parametrize("cmd", ["build", "simulate"])
+def test_rerun_manifest_identical_outside_run_block(family48, tmp_path, cmd):
+    if cmd == "build":
+        out = tmp_path / "fam.json"
+        argv = ["build", "--n", "48", "--kind", "dpma", "--kappa", "2", "--alpha", "1/2",
+                "--gamma", "2", "--out", str(out)]
+    else:
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--family", str(family48), "--profile", "umi", "--snr=-4,4",
+                "--trials", "2000", "--seed", "17", "--p-fa", "1e-2", "--out", str(out)]
+    manifest = out.with_suffix(out.suffix + ".manifest.json")
     parts = []
     for _ in range(2):
         assert run(argv) == 0
@@ -257,6 +263,21 @@ def test_rerun_manifest_identical_outside_run_block(tmp_path):
         assert data["command"] == " ".join(argv)
         parts.append(json.dumps(data, indent=2, sort_keys=True).encode())
     assert parts[0] == parts[1]
+    if cmd == "simulate":
+        # dpma48 is a flat family: tables from its recipe, white noise
+        sim = json.loads(parts[0])["simulation"]
+        assert (sim["leakage"], sim["noise"]) == ("recipe", "white")
+        assert sim["table_bytes"] == 8 * 48 * 16 + 35 * 35 * 8
+
+
+def test_oversized_dense_tables_exit_2_with_one_line(tmp_path):
+    # 30000 pn members: the dense leakage tables would take 114 GiB
+    fam = tmp_path / "pn.json"
+    fam.write_text(json.dumps({"kind": "pn", "n": 13, "gamma": 1, "alpha": "33/256",
+                               "sd_order_bound": 0, "family_csd": 1, "size": 30000,
+                               "min_csd": 1, "taps": [15, 14]}))
+    _assert_exits_2_with_one_line(["simulate", "--family", str(fam), "--profile", "umi",
+                                   "--trials", "2"])
 
 
 def _assert_exits_2_with_one_line(argv):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -23,6 +24,16 @@ def zc139():
     """Two ZC roots, 15 cyclic shifts each: a non-orthogonal candidate set."""
     cfg = sf.WaveformConfig(139, gamma=1, alpha=Fraction(33, 256))
     return sf.build_family("zc", cfg, count=30, min_csd=9)
+
+
+def _sigmas(family, pick, profile):
+    """sigma_fie and sigma_c of the picked members, from their leakage tables."""
+    return rc._variances(rc._leakage_tables(family, pick, profile, 1250.0), profile.powers)
+
+
+def _closed_form(family, pick, profile, beta, phi):
+    sigma_fie, sigma_c = _sigmas(family, pick, profile)
+    return rc._closed_forms(sigma_fie, sigma_c, beta, phi), sigma_c
 
 
 class TestChannelProfile:
@@ -78,28 +89,28 @@ class TestChannelProfile:
 
 class TestClosedForms:
     def test_flat_fading_orthogonal_family(self, apma139):
-        q = apma139.q_matrix()
         phi = 2.0
         beta = -math.log(1e-2) / phi
-        cf = rc.closed_form_metrics(q, rc.ChannelProfile.flat_fading(), beta, phi)
+        cf, sigma_c = _closed_form(apma139, np.arange(len(apma139)),
+                                   rc.ChannelProfile.flat_fading(), beta, phi)
         assert abs(cf["p_fa"] - 1e-2) < 1e-12
         assert abs(cf["p_fid"] - cf["p_fa"]) < 1e-9  # orthogonal minimum
-        assert abs(cf["sigma_c"] - 139.0) < 1e-9
+        assert abs(sigma_c - 139.0) < 1e-9
         expected_pc = math.exp(-beta * phi / (1 + phi * 139))
         assert abs(cf["p_c"] - expected_pc) < 1e-12
 
     def test_beta_rule_hits_target_p_fa(self, apma139):
         phi = 10 ** 0.7
         beta = (5.0 / phi) * math.log(10.0)
-        cf = rc.closed_form_metrics(apma139.q_matrix()[:6],
-                                    rc.ChannelProfile.flat_fading(), beta, phi)
+        cf, _ = _closed_form(apma139, np.arange(6), rc.ChannelProfile.flat_fading(),
+                             beta, phi)
         assert abs(cf["p_fa"] - 1e-5) < 1e-18
 
     def test_sigma_fie_shrinks_with_delay_spread(self, apma139):
-        q = apma139.q_matrix()
-        umi, _ = rc._leakage(q, rc.ChannelProfile.shipped("umi"), 1250.0)[1:]
-        ind, _ = rc._leakage(q, rc.ChannelProfile.shipped("ind"), 1250.0)[1:]
-        ff, sigma_c = rc._leakage(q, rc.ChannelProfile.flat_fading(), 1250.0)[1:]
+        every = np.arange(len(apma139))
+        umi, _ = _sigmas(apma139, every, rc.ChannelProfile.shipped("umi"))
+        ind, _ = _sigmas(apma139, every, rc.ChannelProfile.shipped("ind"))
+        ff, sigma_c = _sigmas(apma139, every, rc.ChannelProfile.flat_fading())
         assert ff.max() < 1e-15      # orthogonal pairs leak nothing flat
         assert ind.max() < umi.max()  # shorter spread, less leakage
         assert abs(sigma_c - 139.0) < 1e-9
@@ -133,7 +144,7 @@ class TestRunSimulation:
         # E Y(q_i) = 1/phi + sigma_fie for i != k, 1/phi + sigma_c for i = k
         prof = rc.ChannelProfile.shipped("umi")
         q = apma139.q_matrix()[:4]
-        sigma_fie, sigma_c = rc._leakage(q, prof, 1250.0)[1:]
+        sigma_fie, sigma_c = _sigmas(apma139, np.arange(4), prof)
         phi = 1.0
         rng = np.random.Generator(np.random.Philox(key=[41, 42]))
         trials = 60000
@@ -245,7 +256,8 @@ class TestCorrelatorModel:
     def test_flat_fading_leakage_is_scaled_gram(self, zc139):
         # one tap at zero delay: C_0 = sqrt(N) Q Q^H, the same channel on every tone
         q = zc139.q_matrix()
-        leak, sigma_fie, sigma_c = rc._leakage(q, rc.ChannelProfile.flat_fading(), 1250.0)
+        leak = rc._leakage(q, rc.ChannelProfile.flat_fading(), 1250.0)
+        sigma_fie, sigma_c = _sigmas(zc139, np.arange(30), rc.ChannelProfile.flat_fading())
         gram = math.sqrt(139) * q @ q.conj().T
         assert leak.shape == (1, 30, 30)
         assert np.max(np.abs(leak[0] - gram)) <= 1e-12 * math.sqrt(139)
@@ -258,7 +270,9 @@ class TestCorrelatorModel:
         # of sigma_fie plus sigma_c adds up to N times the unit total power
         n = 64
         q = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
-        leak, sigma_fie, sigma_c = rc._leakage(q, rc.ChannelProfile.shipped("umi"), 1250.0)
+        prof = rc.ChannelProfile.shipped("umi")
+        leak = rc._leakage(q, prof, 1250.0)
+        sigma_fie, sigma_c = rc._variances(rc._dense_tables(q, prof, 1250.0), prof.powers)
         assert np.allclose(np.sum(np.abs(leak) ** 2, axis=2), n, rtol=1e-12, atol=0)
         assert np.allclose(sigma_fie.sum(axis=0) + sigma_c, n, rtol=1e-12, atol=0)
 
@@ -267,7 +281,7 @@ class TestCorrelatorModel:
         # constant-amplitude family: the tones' channel correlation summed
         prof = rc.ChannelProfile("two-tap", (0.0, 200e-9), (0.5, 0.5))
         n, df = 139, 1250.0
-        _, _, sigma_c = rc._leakage(apma139.q_matrix(), prof, df)
+        _, sigma_c = _sigmas(apma139, np.arange(len(apma139)), prof)
         expected = sum(p * abs(np.exp(-2j * np.pi * df * t * np.arange(n)).sum()) ** 2
                        for t, p in zip(prof.delays_s, prof.powers)) / n
         assert abs(sigma_c - expected) <= 1e-12 * expected
@@ -279,7 +293,7 @@ class TestCorrelatorModel:
         prof = rc.ChannelProfile.shipped("umi")
         q = zc139.q_matrix()
         n = q.shape[1]
-        leak, _, _ = rc._leakage(q, prof, 1250.0)
+        leak = rc._leakage(q, prof, 1250.0)
         rng = np.random.Generator(np.random.Philox(key=[51, 52]))
         k = int(rng.integers(0, len(q)))
         gains = rc._cscg(rng, len(prof.delays_s)) * np.sqrt(np.asarray(prof.powers))
@@ -299,16 +313,15 @@ class TestCorrelatorModel:
             ph = np.exp(-2j * np.pi * 1250.0 * delay * np.arange(n))
             ref += p * n * np.abs(q.conj() @ (q * ph).T) ** 2
         np.fill_diagonal(ref, 0.0)
-        sigma_fie, sigma_c = rc._leakage(q, prof, 1250.0)[1:]
+        sigma_fie, _ = _sigmas(zc139, np.arange(j), prof)
         assert np.max(np.abs(sigma_fie - ref)) <= 1e-12 * ref.max()
         phi = 10 ** 0.2
         beta = -math.log(1e-2) / phi
-        cf = rc.closed_form_metrics(q, prof, beta, phi)
+        cf, _ = _closed_form(zc139, np.arange(j), prof, beta, phi)
         for k in range(j):
             loop = sum(math.exp(-beta * phi / (1.0 + phi * ref[i, k]))
                        for i in range(j) if i != k) / (j - 1)
             assert abs(cf["p_fid_per_k"][k] - loop) <= 1e-12
-        assert cf["sigma_c"] == sigma_c
 
     @pytest.mark.parametrize("n, count, min_csd", [(139, 30, 9), (13, 20, 1)])
     def test_coloured_noise_covariance(self, n, count, min_csd):
@@ -319,7 +332,7 @@ class TestCorrelatorModel:
         cfg = sf.WaveformConfig(n, gamma=1, alpha=Fraction(33, 256))
         q = sf.build_family("zc", cfg, count=count, min_csd=min_csd).q_matrix()
         gram = q.conj() @ q.T
-        colour = rc._noise_colour(q)
+        colour = rc._noise_colour(gram)
         assert colour is not None
         var, draws = 0.25, 40000
         rng = np.random.Generator(np.random.Philox(key=[53, 54]))
@@ -329,9 +342,12 @@ class TestCorrelatorModel:
         assert np.max(np.abs(gram - np.eye(len(q)))) > 0.08  # not a white set
 
     def test_orthogonal_family_takes_white_path(self, apma139, cfg_b139):
+        # M from the recipe of pma and from the dense Gram of apma
         pma = sf.build_family("pma", cfg_b139)
-        assert rc._noise_colour(pma.q_matrix()) is None
-        assert rc._noise_colour(apma139.q_matrix()) is None
+        for fam in (pma, apma139):
+            tables = rc._leakage_tables(fam, np.arange(len(fam)),
+                                        rc.ChannelProfile.flat_fading(), 1250.0)
+            assert tables.colour is None
 
     def test_common_random_numbers_across_families(self, apma139, cfg_b139):
         # no-request outputs are the same white draws for any orthogonal
@@ -364,3 +380,87 @@ class TestCorrelatorModel:
         spread = (seeds - 1) * np.var(est, ddof=1)
         assert 19.996 <= spread / np.mean(sigma) ** 2 <= 65.476
         assert spread / np.mean(wilson) ** 2 > 65.476
+
+
+_A48 = sf.WaveformConfig(48, gamma=2, alpha=Fraction(1, 2))
+_B48 = sf.WaveformConfig(48, gamma=1, alpha=Fraction(33, 256))
+_B139 = sf.WaveformConfig(139, gamma=1, alpha=Fraction(33, 256))
+_B720 = sf.WaveformConfig(720, gamma=1, alpha=Fraction(33, 256))
+
+
+class TestLeakageTables:
+    @pytest.mark.parametrize("kind, cfg, kappa, count, j", [
+        ("pma", _A48, 0, None, None),
+        ("pma", _B139, 0, None, None),
+        ("dpma", _A48, 2, None, None),
+        ("dpma", _B48, 2, None, None),
+        ("dpma", _B720, 2, None, None),
+        ("near_dpma", _B48, 3, None, None),
+        ("pma", _B139, 0, None, 16),
+        ("dpma", _B720, 2, 50, 20),
+    ], ids=["pma48_A", "pma139_B", "dpma48_k2_A", "dpma48_k2_B", "dpma720_k2_B",
+            "near_dpma48_k3_B", "pma139_subset16", "dpma720_k2_count50_subset20"])
+    def test_recipe_tables_match_dense_leakage(self, kind, cfg, kappa, count, j):
+        fam = sf.build_family(kind, cfg, kappa=kappa, count=count)
+        pick = rc._subset(fam, j or len(fam), seed=3)
+        prof = rc.ChannelProfile.shipped("umi")
+        tables = rc._leakage_tables(fam, pick, prof, 1250.0)
+        assert tables.source == "recipe"
+        assert tables.table.shape == (len(prof.delays_s), fam.n)
+        dense = rc._leakage(fam.q_matrix()[pick], prof, 1250.0)
+        assert np.max(np.abs(tables.table[:, tables.index] - dense)) <= 1e-12 * math.sqrt(fam.n)
+        assert tables.colour is None
+
+    @pytest.mark.parametrize("profile", ["umi", "ind"])
+    def test_recipe_and_dense_runs_agree(self, cfg_b139, profile):
+        # the same family with its recipe stripped takes the dense path
+        fam = sf.build_family("pma", cfg_b139)
+        res = {}
+        for source, f in (("recipe", fam), ("dense", dataclasses.replace(fam, meta={}))):
+            res[source] = rc.run_simulation(rc.RaSimConfig(
+                family=f, snr_db_list=[-4.0, 4.0], trials=3000, seed=13,
+                profile=rc.ChannelProfile.shipped(profile), j_sequences=32,
+                p_fa_target=1e-2))
+            echo = res[source].config_echo
+            assert (echo["leakage"], echo["noise"]) == (source, "white")
+        assert res["recipe"].config_echo["table_bytes"] < res["dense"].config_echo["table_bytes"]
+        for a, b in zip(res["recipe"].per_snr, res["dense"].per_snr):
+            assert a.mc == b.mc
+            for metric in ("p_fa", "p_fid", "p_c"):
+                assert a.closed_form[metric] == pytest.approx(b.closed_form[metric],
+                                                              rel=1e-12, abs=0)
+        assert res["recipe"].sigma_c == pytest.approx(res["dense"].sigma_c, rel=1e-12)
+
+    def test_rows_that_disagree_with_the_recipe_refused(self, cfg_b139):
+        fam = sf.build_family("pma", cfg_b139)
+        rows = list(fam.sequences)
+        rows[3], rows[7] = rows[7], rows[3]
+        swapped = dataclasses.replace(fam, sequences=rows)
+        cfg = rc.RaSimConfig(family=swapped, snr_db_list=[0.0], trials=10, seed=1,
+                             profile=rc.ChannelProfile.flat_fading(), p_fa_target=1e-2)
+        with pytest.raises(DomainError, match="recipe"):
+            rc.run_simulation(cfg)
+
+    def test_oversized_dense_tables_refused_up_front(self):
+        # 30000 pn members would need an 8 x 30000^2 complex tensor (115 GB)
+        fam = sf.build_family("pn", sf.WaveformConfig(13), count=30000, min_csd=1)
+        cfg = rc.RaSimConfig(family=fam, snr_db_list=[0.0], trials=2, seed=1,
+                             profile=rc.ChannelProfile.shipped("umi"), p_fa_target=1e-2)
+        with pytest.raises(DomainError, match="GiB"):
+            rc.run_simulation(cfg)
+
+    def test_coloured_family_echoes_dense_coloured(self, zc139):
+        res = rc.run_simulation(rc.RaSimConfig(
+            family=zc139, snr_db_list=[0.0], trials=200, seed=1,
+            profile=rc.ChannelProfile.shipped("umi"), p_fa_target=1e-2))
+        assert (res.config_echo["leakage"], res.config_echo["noise"]) == ("dense", "coloured")
+        assert res.config_echo["table_bytes"] == (8 * 16 + 8) * 30 * 30
+
+    def test_white_noise_energy_is_the_modulus_of_the_same_draw(self):
+        # the phase-free draw reads the first uniform of _cscg; the phase
+        # only moves |w|^2 by rounding
+        key = [61, 62]
+        energy = rc._noise_energy(np.random.Generator(np.random.Philox(key=key)),
+                                  (200, 50), 0.3, None)
+        w = rc._noise(np.random.Generator(np.random.Philox(key=key)), (200, 50), 0.3, None)
+        assert np.allclose(energy, np.abs(w) ** 2, rtol=1e-14, atol=0)
