@@ -387,81 +387,55 @@ def mpo_value(n: int) -> int:
     """Largest t such that n is a sum of integers >= 2, each with omega >= t.
 
     Single-part sums are allowed, so the result is at least omega(n).
-    Bottom-up reachability over the admissible part values at each level.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     t = prime_factorize(n).omega
-    while _reachable_sums(n, t + 1) >> n & 1:
+    while _split(n, t + 1, cap=n, min_parts=1) is not None:
         t += 1
     return t
 
 
+@lru_cache(maxsize=8)
+def _omega_table(n: int) -> tuple[int, ...]:
+    """omega(v) for v = 0..n (0 at v < 2), sieved by prime powers."""
+    omegas = [0] * (n + 1)
+    for p in range(2, n + 1):
+        if omegas[p] == 0:  # no smaller prime divides p
+            power = p
+            while power <= n:
+                for m in range(power, n + 1, power):
+                    omegas[m] += 1
+                power *= p
+    return tuple(omegas)
+
+
 @lru_cache(maxsize=512)
-def _reachable_sums(n: int, t: int) -> int:
-    """Bitmask of sums <= n reachable with parts of omega >= t (bit 0 set)."""
-    values = [v for v in range(2, n + 1) if prime_factorize(v).omega >= t]
+def _split(n: int, t: int, cap: int, min_parts: int) -> tuple[int, ...] | None:
+    """n as the fewest parts (at least min_parts), each <= cap with omega
+    >= t, and of those the lexicographically largest non-increasing; None
+    when there is none.
+
+    layers[k] is the bitmask of the sums of exactly k parts.  The witness is
+    read off greedily: the largest v in any j-part split of s bounds every
+    other part of that split, so the parts come out non-increasing.
+    """
+    omegas = _omega_table(n)
+    values = [v for v in range(min(n, cap), 1, -1) if omegas[v] >= t]
     mask = (1 << (n + 1)) - 1
-    reach = 1
-    for v in values:
-        # close reach under repeated addition of v (doubling the step)
-        step = v
-        while step <= n:
-            new = (reach | (reach << step)) & mask
-            if new == reach:
-                break
-            reach = new
-            step *= 2
-    return reach
-
-
-def _admissible(n: int, t: int, cap: int) -> list[int]:
-    return [v for v in range(2, min(n, cap) + 1) if prime_factorize(v).omega >= t]
-
-
-def _split_exists(s: int, k: int, bound: int, values: frozenset[int],
-                  _memo: dict | None = None) -> bool:
-    """Can s be written as k non-increasing parts from values, each <= bound?"""
-    if _memo is None:
-        _memo = {}
-    key = (s, k, bound)
-    if key in _memo:
-        return _memo[key]
-    if k == 0:
-        return s == 0
-    out = False
-    for v in sorted((v for v in values if v <= min(s, bound)), reverse=True):
-        if v * k < s:
-            break  # even k copies of v cannot reach s
-        if _split_exists(s - v, k - 1, v, values, _memo):
-            out = True
-            break
-    _memo[key] = out
-    return out
-
-
-def _witness(n: int, t: int, cap: int, min_parts: int) -> tuple[int, ...] | None:
-    """Deterministic witness: fewest parts first, then lexicographically
-    largest sorted-descending, all parts <= cap with omega >= t."""
-    values = frozenset(_admissible(n, t, cap))
-    if not values:
-        return None
-    memo: dict = {}
-    k = min_parts
-    while k * 2 <= n and not _split_exists(n, k, cap, values, memo):
-        k += 1
-    if not _split_exists(n, k, cap, values, memo):
-        return None
-    parts = []
-    s, bound = n, cap
-    for j in range(k, 0, -1):
-        for v in sorted((v for v in values if v <= min(s, bound)), reverse=True):
-            if _split_exists(s - v, j - 1, v, values, memo):
-                parts.append(v)
-                s, bound = s - v, v
-                break
-        else:
+    layers = [1]
+    while len(layers) <= min_parts or not layers[-1] >> n & 1:
+        layer = 0
+        for v in values:
+            layer |= layers[-1] << v
+        layer &= mask
+        if not layer:
             return None
+        layers.append(layer)
+    parts, s = [], n
+    for below in reversed(layers[:-1]):
+        parts.append(next(v for v in values if v <= s and below >> (s - v) & 1))
+        s -= parts[-1]
     return tuple(parts)
 
 
@@ -475,17 +449,13 @@ def mpo_decompose(n: int, require_restriction_a: bool = False) -> Decomposition:
     """
     best_t = mpo_value(n)
     if not require_restriction_a:
-        parts = _witness(n, best_t, cap=n, min_parts=1)
-        assert parts is not None
-        return Decomposition(n, parts, mpo=best_t)
-    cap = (n - 1) // 2
+        return Decomposition(n, _split(n, best_t, cap=n, min_parts=1), mpo=best_t)
     for t in range(best_t, 0, -1):
-        parts = _witness(n, t, cap=cap, min_parts=3)
+        parts = _split(n, t, cap=(n - 1) // 2, min_parts=3)
         if parts is not None:
             return Decomposition(n, parts, mpo=best_t)
     raise InfeasibleError(
-        f"no decomposition of {n} with >= 3 parts below {n}/2 at any level"
-    )
+        f"no decomposition of {n} with >= 3 parts below {n}/2 at any level")
 
 
 def available_with_min_csd(fs: FactorSet, min_csd: int) -> int:

@@ -30,16 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from .factorlab import DomainError
-from .seqforge import Family, _phase_rows
+from .seqforge import MAX_DENSE_TABLE_BYTES, Family, _phase_rows
 
 #: Monte Carlo batch size; tallies are merged per batch with a batch-derived
 #: substream, so results do not depend on how batches are scheduled.
 BATCH = 4096
-
-#: Most bytes the dense leakage tables (L x J^2 complex entries and a J x J
-#: index) of a family without a recipe may take; larger ones are refused
-#: before anything is allocated.
-MAX_DENSE_TABLE_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,12 @@ FAMILY_KINDS = (
 HAT_KINDS = ("hat_pma", "hat_dpma", "apma", "adpma")
 ORTHOGONAL_KINDS = ("pma", "dpma", "near_dpma", "hat_pma", "hat_dpma", "apma", "adpma")
 
+#: Most bytes a J x J table over a family's members may take: the simulator's
+#: dense leakage tables (L x J^2 complex entries and a J x J index) and the
+#: verifier's complex Gram.  Larger ones are refused before anything is
+#: allocated.
+MAX_DENSE_TABLE_BYTES = 2 ** 30
+
 
 @dataclass(frozen=True)
 class WaveformConfig:
@@ -497,16 +503,12 @@ def build_pn_family(cfg: WaveformConfig, count: int, min_csd: int) -> Family:
     if count * min_csd > period:
         raise DomainError(
             f"{count} members at spacing {min_csd} exceed the register period")
-    bits = m_sequence()
-    idx = np.arange(n)
-    signs = _signs(n, cfg.gamma)
-    seqs = []
-    for k in range(count):
-        offset = k * min_csd
-        bpsk = 1.0 - 2.0 * bits[(offset + idx) % period].astype(np.float64)
-        seqs.append(CaSequence(signs * bpsk.astype(np.complex128), cfg))
-    return Family(sequences=seqs, kind="pn", cfg=cfg, sd_order_bound=0,
-                  family_csd=min_csd, meta={"min_csd": min_csd, "taps": [15, 14]})
+    bits = m_sequence()[(np.arange(count)[:, None] * min_csd + np.arange(n)) % period]
+    rows = (1.0 - 2.0 * bits).astype(np.complex128)
+    rows *= _signs(n, cfg.gamma)
+    return Family(sequences=[CaSequence(row, cfg) for row in rows], kind="pn", cfg=cfg,
+                  sd_order_bound=0, family_csd=min_csd,
+                  meta={"min_csd": min_csd, "taps": [15, 14]})
 
 
 def family_to_dict(family: Family, include_sequences: bool = False) -> dict:

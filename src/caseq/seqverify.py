@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .seqforge import DomainError, Family, WaveformConfig
+from .seqforge import MAX_DENSE_TABLE_BYTES, DomainError, Family, WaveformConfig
 
 #: moments are called zero when below this times sum(n^beta)
 MOMENT_RTOL = 1e-8
@@ -99,8 +99,14 @@ def max_offdiag(gram: np.ndarray) -> float:
 
 def check_family(family: Family, beta_cap: int = DEFAULT_BETA_CAP) -> VerifyReport:
     """Every check over all members at once, the Gram first so that one J x N
-    matrix is held at a time; the reported order is the family minimum."""
+    matrix is held at a time; the reported order is the family minimum.  A
+    Gram above MAX_DENSE_TABLE_BYTES is refused before anything is allocated."""
     _check_beta_cap(beta_cap)
+    need = 16 * len(family) ** 2
+    if need > MAX_DENSE_TABLE_BYTES:
+        raise DomainError(
+            f"{len(family)} {family.kind} sequences need a {need / 2 ** 30:.1f} GiB Gram "
+            f"matrix, above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
     gram = max_offdiag(gram_matrix(family)) if len(family) > 1 else None
     chi = family.chi_matrix()
     ca, zac = amplitude_checks(chi)

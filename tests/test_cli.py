@@ -280,6 +280,19 @@ def test_oversized_dense_tables_exit_2_with_one_line(tmp_path):
                                    "--trials", "2"])
 
 
+@pytest.mark.parametrize("cmd", ["build", "verify"])
+def test_oversized_gram_exits_2_with_one_line(tmp_path, cmd):
+    # 30000 pn members: the complex Gram would take 13.4 GiB
+    fam, out = tmp_path / "pn.json", tmp_path / "out.json"
+    fam.write_text(json.dumps({"kind": "pn", "n": 13, "gamma": 1, "alpha": "33/256",
+                               "sd_order_bound": 0, "family_csd": 1, "size": 30000,
+                               "min_csd": 1, "taps": [15, 14]}))
+    argv = (["build", "--n", "13", "--kind", "pn", "--count", "30000", "--min-csd", "1",
+             "--out", str(out)] if cmd == "build" else ["verify", "--family", str(fam)])
+    _assert_exits_2_with_one_line(argv)
+    assert not out.exists()
+
+
 def _assert_exits_2_with_one_line(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

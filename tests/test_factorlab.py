@@ -351,6 +351,40 @@ def _oracle_mpo(n: int) -> int:
     return t
 
 
+def _oracle_split(n: int, t: int, cap: int, min_parts: int):
+    """Brute force over every non-increasing tuple of parts <= cap with
+    omega >= t: the fewest parts (at least min_parts), then the
+    lexicographically largest tuple; None when there is none."""
+    values = [v for v in range(min(n, cap), 1, -1) if fl.prime_factorize(v).omega >= t]
+
+    def tuples(s, k, bound):
+        if k == 1:
+            if s in values and s <= bound:
+                yield (s,)
+            return
+        for v in values:
+            if v <= min(s, bound) and v * k >= s:
+                yield from ((v,) + rest for rest in tuples(s - v, k - 1, v))
+
+    for k in range(min_parts, n // 2 + 1):
+        found = list(tuples(n, k, n))
+        if found:
+            return max(found)
+    return None
+
+
+def _oracle_decompose(n: int, restricted: bool):
+    """(parts, mpo) by the mpo_decompose rule, parts None when infeasible."""
+    best = _oracle_mpo(n)
+    if not restricted:
+        return _oracle_split(n, best, n, 1), best
+    for t in range(best, 0, -1):
+        parts = _oracle_split(n, t, (n - 1) // 2, 3)
+        if parts is not None:
+            return parts, best
+    return None, best
+
+
 class TestMpo:
     def test_reference_values(self):
         assert fl.mpo_value(139) == 3
@@ -415,6 +449,33 @@ class TestMpo:
         for n in range(2, 401):
             gain = fl.mpo_value(n) > fl.prime_factorize(n).omega
             assert gain == (not is_form(n)), n
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["plain", "restricted"])
+    def test_witness_matches_brute_force(self, restricted):
+        kinds = set()
+        for n in range(2, 151):
+            parts, best = _oracle_decompose(n, restricted)
+            if parts is None:
+                with pytest.raises(InfeasibleError):
+                    fl.mpo_decompose(n, require_restriction_a=restricted)
+                kinds.add("infeasible")
+                continue
+            d = fl.mpo_decompose(n, require_restriction_a=restricted)
+            assert (d.parts, d.mpo) == (parts, best), n
+            kinds.add("at_mpo" if d.at_mpo else "fallback")
+        assert kinds == ({"infeasible", "at_mpo", "fallback"} if restricted else {"at_mpo"})
+
+    @pytest.mark.parametrize("n, plain, restricted, mpo", [
+        (139, (112, 27), (68, 63, 8), 3),
+        (839, (567, 272), (416, 243, 180), 5),
+        (1151, (891, 180, 80), (567, 552, 32), 5),
+        (838, (486, 352), (408, 270, 160), 6),
+        (1117, (729, 324, 64), (552, 405, 160), 6),
+    ])
+    def test_pinned_witnesses(self, n, plain, restricted, mpo):
+        assert (fl.mpo_decompose(n).parts, fl.mpo_decompose(n).mpo) == (plain, mpo)
+        d = fl.mpo_decompose(n, require_restriction_a=True)
+        assert (d.parts, d.mpo) == (restricted, mpo)
 
     def test_supplied_decomposition(self):
         d = fl.Decomposition.from_parts(571, (225, 196, 150))

@@ -142,6 +142,23 @@ class TestCheckFamily:
         # cross-root pairs sit at 1/sqrt(N)
         assert abs(rep.gram_max_offdiag - 1 / math.sqrt(139)) < 0.02
 
+    def test_oversized_gram_refused_up_front(self, monkeypatch):
+        # 30000 pn members would need a 30000^2 complex Gram (13.4 GiB)
+        fam = sf.build_family("pn", sf.WaveformConfig(13), count=30000, min_csd=1)
+        monkeypatch.setattr(sv, "gram_matrix", lambda family: pytest.fail("Gram formed"))
+        with pytest.raises(sf.DomainError, match="GiB"):
+            sv.check_family(fam)
+
+    @pytest.mark.parametrize("limit, refused", [(16 * 5 ** 2, False), (16 * 5 ** 2 - 1, True)])
+    def test_gram_limit_counts_sixteen_bytes_per_pair(self, monkeypatch, limit, refused):
+        fam = sf.build_family("pn", sf.WaveformConfig(13), count=5, min_csd=2)
+        monkeypatch.setattr(sv, "MAX_DENSE_TABLE_BYTES", limit)
+        if refused:
+            with pytest.raises(sf.DomainError, match="Gram"):
+                sv.check_family(fam)
+        else:
+            assert sv.check_family(fam).size == 5
+
     def test_report_serializes(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
         rep = sv.check_family(fam)
