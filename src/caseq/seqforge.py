@@ -10,6 +10,7 @@ Zadoff-Chu and m-sequence baselines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -35,10 +36,10 @@ FAMILY_KINDS = (
 HAT_KINDS = ("hat_pma", "hat_dpma", "apma", "adpma")
 ORTHOGONAL_KINDS = ("pma", "dpma", "near_dpma", "hat_pma", "hat_dpma", "apma", "adpma")
 
-#: Most bytes a J x J table over a family's members may take: the simulator's
-#: dense leakage tables (L x J^2 complex entries and a J x J index) and the
-#: verifier's complex Gram.  Larger ones are refused before anything is
-#: allocated.
+#: Most bytes one dense table may take: the simulator's leakage tables (L x J^2
+#: complex entries and a J x J index), the verifier's complex Gram, a pn
+#: family's J x N chi and a spectrum's grid arrays.  Larger ones are refused
+#: before anything is allocated.
 MAX_DENSE_TABLE_BYTES = 2 ** 30
 
 
@@ -472,11 +473,13 @@ def build_multiroot_zc_family(cfg: WaveformConfig, count: int, min_csd: int,
                   meta={"roots": list(roots), "min_csd": min_csd, "members": used})
 
 
-def m_sequence(register_len: int = 15, taps: Sequence[int] = (15, 14)) -> np.ndarray:
+@functools.cache
+def m_sequence(register_len: int = 15, taps: tuple[int, ...] = (15, 14)) -> np.ndarray:
     """Maximal-length LFSR bit sequence, period 2**register_len - 1.
 
     taps give the delayed outputs XOR-ed into the input, 1-indexed;
-    the register starts all-ones.
+    the register starts all-ones.  Computed once per (register_len, taps)
+    and returned read-only, as every caller shares the array.
     """
     period = (1 << register_len) - 1
     state = [1] * register_len
@@ -487,6 +490,7 @@ def m_sequence(register_len: int = 15, taps: Sequence[int] = (15, 14)) -> np.nda
         for t in taps:
             fb ^= state[t - 1]
         state = [fb] + state[:-1]
+    bits.flags.writeable = False
     return bits
 
 
@@ -503,6 +507,11 @@ def build_pn_family(cfg: WaveformConfig, count: int, min_csd: int) -> Family:
     if count * min_csd > period:
         raise DomainError(
             f"{count} members at spacing {min_csd} exceed the register period")
+    need = 16 * count * n  # the complex J x N chi
+    if need > MAX_DENSE_TABLE_BYTES:
+        raise DomainError(
+            f"{count} pn members of length {n} need {need / 2 ** 30:.3g} GiB of chi, "
+            f"above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
     bits = m_sequence()[(np.arange(count)[:, None] * min_csd + np.arange(n)) % period]
     rows = (1.0 - 2.0 * bits).astype(np.complex128)
     rows *= _signs(n, cfg.gamma)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import spectrum_power
-from .seqforge import CaSequence, Family
+from .seqforge import MAX_DENSE_TABLE_BYTES, CaSequence, Family
 
 
 class ResolutionError(ValueError):
@@ -60,17 +60,19 @@ def compute_spectrum(seq: CaSequence, grid_span: float = 64.0,
     cfg = seq.cfg
     if grid_points < 4096:
         raise ResolutionError("need at least 4096 grid points")
-    if grid_span < 4:
-        raise ResolutionError("grid span below 4 bandwidths cannot hold the tail")
+    if not grid_span >= 4:  # NaN too
+        raise ResolutionError(f"grid span {grid_span} below 4 bandwidths cannot hold the tail")
     bandwidth = cfg.gamma * seq.n  # in subcarrier-spacing units (1/T_d)
     if grid_points < 4 * grid_span * seq.n:
         raise ResolutionError("grid cannot resolve the subcarrier spacing")
-    sub_freqs = np.arange(seq.n, dtype=np.float64) * cfg.gamma
-    center = 0.5 * (sub_freqs[0] + sub_freqs[-1])
+    if 24 * grid_points > MAX_DENSE_TABLE_BYTES:  # three float64 grid arrays
+        raise ResolutionError(
+            f"{grid_points} grid points need {24 * grid_points / 2 ** 30:.3g} GiB of "
+            f"grid arrays, above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
+    center = 0.5 * (seq.n - 1) * cfg.gamma
     norm = np.linspace(-grid_span / 2.0, grid_span / 2.0, grid_points)
     freqs = center + norm * bandwidth
-    power = spectrum_power(freqs, _subcarrier_amps(seq), sub_freqs,
-                           cfg.pulse_duration)
+    power = spectrum_power(freqs, _subcarrier_amps(seq), cfg.gamma, cfg.pulse_duration)
     total = float(np.trapezoid(power, norm))
     return SpectrumResult(freqs=norm, power=power, total_power=total, meta={
         "n": seq.n, "gamma": cfg.gamma, "alpha": str(cfg.alpha),
@@ -148,21 +150,19 @@ def out_of_band_fraction(family: Family, bandwidths: list[float],
     """
     if max(bandwidths) > grid_span:
         raise ResolutionError("bandwidth request exceeds the grid span")
-    specs = [compute_spectrum(s, grid_span, grid_points)
-             for s in family.sequences]
-    totals = [_exact_total_power(s) for s in family.sequences]
-    rows = []
-    for b in bandwidths:
-        half = b / 2.0
-        fracs = []
-        for sp, total in zip(specs, totals):
+    fracs = [[] for _ in bandwidths]  # per B, one fraction per member
+    for seq in family.sequences:  # folded in as computed: memory O(grid_points)
+        sp = compute_spectrum(seq, grid_span, grid_points)
+        total = _exact_total_power(seq)
+        for b, col in zip(bandwidths, fracs):
+            half = b / 2.0
             inb = np.abs(sp.freqs) < half
             edge = np.interp([-half, half], sp.freqs, sp.power)
             inside = float(np.trapezoid(np.r_[edge[0], sp.power[inb], edge[1]],
                                         np.r_[-half, sp.freqs[inb], half]))
-            fracs.append(max(total - inside, 0.0) / total)
-        rows.append((b, 10.0 * math.log10(max(np.mean(fracs), 1e-300))))
-    return rows
+            col.append(max(total - inside, 0.0) / total)
+    return [(b, 10.0 * math.log10(max(np.mean(col), 1e-300)))
+            for b, col in zip(bandwidths, fracs)]
 
 
 def spectrum_csv_rows(spec: SpectrumResult) -> list[tuple[float, float]]:

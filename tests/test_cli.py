@@ -293,6 +293,15 @@ def test_oversized_gram_exits_2_with_one_line(tmp_path, cmd):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--slope", "--eta"])
+def test_oversized_spectrum_grid_exits_2_with_one_line(family48, tmp_path, flag):
+    # 10^12 points: 22 TiB of grid arrays, refused before any is allocated
+    out = tmp_path / "spec.csv"
+    _assert_exits_2_with_one_line(["spectrum", "--family", str(family48), flag,
+                                   "--points", str(10 ** 12), "--out", str(out)])
+    assert not out.exists()
+
+
 def _assert_exits_2_with_one_line(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -470,6 +470,30 @@ class TestBaselines:
         with pytest.raises(DomainError):
             sf.build_family("pn", cfg_b839, count=2000, min_csd=26)
 
+    def test_m_sequence_computed_once_and_read_only(self):
+        bits = sf.m_sequence()
+        assert sf.m_sequence() is bits
+        with pytest.raises(ValueError):
+            bits[0] = 0
+        # all-ones start, then b[i + 15] = b[i] ^ b[i + 1] (register X^15 + X^14 + 1)
+        assert bits[:15].all()
+        assert np.array_equal(bits[15:], bits[:-15] ^ bits[1:-14])
+
+    def test_pn_chi_size_refused_before_gather(self, monkeypatch):
+        # n 32767, 8191 members at spacing 4: a 4.0 GiB complex chi
+        monkeypatch.setattr(sf, "m_sequence", lambda: pytest.fail("bits gathered"))
+        with pytest.raises(DomainError, match="GiB"):
+            sf.build_family("pn", sf.WaveformConfig(32767), count=8191, min_csd=4)
+
+    @pytest.mark.parametrize("limit, refused", [(16 * 5 * 13, False), (16 * 5 * 13 - 1, True)])
+    def test_pn_chi_limit_counts_sixteen_bytes_per_entry(self, monkeypatch, limit, refused):
+        monkeypatch.setattr(sf, "MAX_DENSE_TABLE_BYTES", limit)
+        if refused:
+            with pytest.raises(DomainError, match="chi"):
+                sf.build_family("pn", sf.WaveformConfig(13), count=5, min_csd=2)
+        else:
+            assert len(sf.build_family("pn", sf.WaveformConfig(13), count=5, min_csd=2)) == 5
+
 
 def _round_trip(fam, include_sequences=False):
     """Export, reload through JSON text, and check the reload is bit-exact."""

@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -19,12 +20,14 @@ def _single_subcarrier(cfg):
     return CaSequence(chi, cfg)
 
 
-def _assert_matches_mpmath(freqs, amps, sub, pulse_t):
-    """spectrum_power against sum_n a_n (1 - exp(-2j pi v T)) / (2j pi v) in
-    mpmath, within 1e-9 of the in-band peak; every value must be finite."""
-    got = spectrum_power(freqs, amps, sub, pulse_t)
+def _assert_matches_mpmath(freqs, amps, gamma, pulse_t):
+    """spectrum_power against sum_n a_n (1 - exp(-2j pi v T)) / (2j pi v),
+    v = f - n gamma, in mpmath, within 1e-9 of the in-band peak; every value
+    must be finite."""
+    got = spectrum_power(freqs, amps, gamma, pulse_t)
     assert np.isfinite(got).all()
-    peak = spectrum_power(np.linspace(sub[0], sub[-1], 4096), amps, sub,
+    sub = np.arange(len(amps), dtype=np.float64) * gamma
+    peak = spectrum_power(np.linspace(sub[0], sub[-1], 4096), amps, gamma,
                           pulse_t).max()
     with mpmath.workdps(30):
         t = mpmath.mpf(pulse_t)
@@ -84,8 +87,19 @@ class TestComputeSpectrum:
         fam = sf.build_family("pma", cfg_a48)
         with pytest.raises(sp.ResolutionError):
             sp.compute_spectrum(fam.sequences[0], grid_span=8, grid_points=1024)
-        with pytest.raises(sp.ResolutionError):
-            sp.compute_spectrum(fam.sequences[0], grid_span=2, grid_points=4096)
+        for span in (2, float("nan")):
+            with pytest.raises(sp.ResolutionError):
+                sp.compute_spectrum(fam.sequences[0], grid_span=span, grid_points=4096)
+
+    @pytest.mark.parametrize("limit, refused", [(24 * 4096, False), (24 * 4096 - 1, True)])
+    def test_grid_limit_counts_24_bytes_per_point(self, cfg_a48, monkeypatch, limit, refused):
+        seq = sf.build_family("pma", cfg_a48).sequences[0]
+        monkeypatch.setattr(sp, "MAX_DENSE_TABLE_BYTES", limit)
+        if refused:
+            with pytest.raises(sp.ResolutionError, match="GiB"):
+                sp.compute_spectrum(seq, grid_span=8, grid_points=4096)
+        else:
+            assert len(sp.compute_spectrum(seq, grid_span=8, grid_points=4096).power) == 4096
 
     def test_masked_integrals_add_to_total(self, cfg_a48):
         fam = sf.build_family("dpma", cfg_a48, kappa=2)
@@ -106,7 +120,7 @@ class TestKernels:
         f = np.linspace(sub.mean() - 200, sub.mean() + 200, 4096)
         t = cfg_a48.pulse_duration
         amps = np.ascontiguousarray(seq.chi / math.sqrt(48))
-        a = spectrum_power(f, amps, sub, t)
+        a = spectrum_power(f, amps, cfg_a48.gamma, t)
         b = np.array([abs(np.sum(amps * t * np.sinc((x - sub) * t)
                                  * np.exp(-1j * np.pi * (x - sub) * t))) ** 2
                       for x in f])
@@ -125,7 +139,7 @@ class TestKernels:
         far_tail = np.concatenate([sub[-1] + span * rng.uniform(20.0, 200.0, 3),
                                    sub[0] - span * rng.uniform(20.0, 200.0, 3)])
         freqs = np.concatenate([on_subcarrier, main_lobe, far_tail])
-        _assert_matches_mpmath(freqs, amps, sub, pulse_t)
+        _assert_matches_mpmath(freqs, amps, gamma, pulse_t)
 
     def test_matches_mpmath_oracle_at_near_far_switch(self):
         """N=839 oracle where the partial-fraction form can fail: on and just
@@ -142,7 +156,26 @@ class TestKernels:
         far_tail = np.concatenate([sub[-1] + span * rng.uniform(20.0, 200.0, 3),
                                    sub[0] - span * rng.uniform(20.0, 200.0, 3)])
         _assert_matches_mpmath(np.concatenate([near, switch, far_tail]),
-                               amps, sub, pulse_t)
+                               amps, cfg.gamma, pulse_t)
+
+    def test_matches_mpmath_oracle_at_band_edges_gamma_2(self):
+        """N=839 at gamma 2, where 1/(gamma T) = 1/3: on, just off and on both
+        sides of |f - x_n| T = 1 at the first and last subcarriers, where the
+        near-field column window runs past [0, N), midway between subcarriers,
+        and far out."""
+        rng = np.random.default_rng(13)
+        cfg = sf.WaveformConfig(839, gamma=2, alpha=Fraction(1, 2))
+        n, pulse_t = cfg.n_seq, cfg.pulse_duration
+        amps = np.exp(2j * np.pi * rng.random(n))
+        sub = np.arange(n, dtype=np.float64) * cfg.gamma
+        span = sub[-1] - sub[0]
+        offsets = np.concatenate([[0.0, 1e-9, -1e-6],
+                                  np.array([1 - 1e-9, 1 + 1e-9, -1 + 1e-6, -1 - 1e-6]) / pulse_t])
+        edges = np.concatenate([sub[0] + offsets, sub[-1] + offsets,
+                                [sub[0] + 1.0, sub[-1] - 1.0]])
+        far_tail = np.concatenate([sub[-1] + span * rng.uniform(20.0, 200.0, 3),
+                                   sub[0] - span * rng.uniform(20.0, 200.0, 3)])
+        _assert_matches_mpmath(np.concatenate([edges, far_tail]), amps, cfg.gamma, pulse_t)
 
 
 class TestDecaySlopes:
@@ -194,6 +227,21 @@ class TestOutOfBand:
         eta_pma = sp.out_of_band_fraction(pma, [1.5], 16, 2 ** 14)[0][1]
         eta_zc = sp.out_of_band_fraction(zc, [1.5], 16, 2 ** 14)[0][1]
         assert eta_pma < eta_zc - 20  # tens of dB more compact
+
+    def test_members_folded_in_one_at_a_time(self, cfg_a48, monkeypatch):
+        # at most the previous member's spectrum and the current one are alive
+        refs, compute = [], sp.compute_spectrum
+
+        def tracked(*args):
+            spec = compute(*args)
+            refs.append(weakref.ref(spec))
+            assert sum(r() is not None for r in refs) <= 2
+            return spec
+
+        monkeypatch.setattr(sp, "compute_spectrum", tracked)
+        fam = sf.build_family("dpma", cfg_a48, kappa=2)
+        sp.out_of_band_fraction(fam, [1.0, 2.0], grid_span=16, grid_points=2 ** 12)
+        assert len(refs) == len(fam) > 2
 
     def test_single_tone_matches_sine_integral(self):
         _assert_single_tone_eta(sf.WaveformConfig(4, gamma=2, alpha=Fraction(1, 2)))
