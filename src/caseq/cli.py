@@ -161,8 +161,7 @@ def cmd_spectrum(args) -> int:
                        spectra.spectrum_csv_rows(spec))
     else:
         bandwidths = [float(b) for b in args.bandwidths.split(",")]
-        rows = spectra.out_of_band_fraction(fam, bandwidths, args.span,
-                                            args.points)
+        rows = spectra.out_of_band_fraction(fam, bandwidths)
         for b, eta in rows:
             print(f"B={b:g} eta_db={eta:.3f}")
         if out:
@@ -254,8 +253,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--slope", action="store_true")
     p.add_argument("--eta", action="store_true")
-    p.add_argument("--span", type=float, default=64.0)
-    p.add_argument("--points", type=int, default=2 ** 20)
+    p.add_argument("--span", type=float, default=64.0, help="--slope grid span")
+    p.add_argument("--points", type=int, default=2 ** 20, help="--slope grid points")
     p.add_argument("--fit-lo", dest="fit_lo", type=float, default=2.0)
     p.add_argument("--fit-hi", dest="fit_hi", type=float, default=24.0)
     p.add_argument("--bandwidths", default="0.5,1,1.5,2,3,4")

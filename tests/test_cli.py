@@ -293,12 +293,35 @@ def test_oversized_gram_exits_2_with_one_line(tmp_path, cmd):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--slope", "--eta"])
-def test_oversized_spectrum_grid_exits_2_with_one_line(family48, tmp_path, flag):
+def test_oversized_spectrum_grid_exits_2_with_one_line(family48, tmp_path):
     # 10^12 points: 22 TiB of grid arrays, refused before any is allocated
     out = tmp_path / "spec.csv"
-    _assert_exits_2_with_one_line(["spectrum", "--family", str(family48), flag,
+    _assert_exits_2_with_one_line(["spectrum", "--family", str(family48), "--slope",
                                    "--points", str(10 ** 12), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_oversized_eta_kernels_exit_2_with_one_line(tmp_path):
+    # a pn member of length 4001: 72 N^2 bytes = 1.07 GiB of N x N kernels
+    fam, out = tmp_path / "pn.json", tmp_path / "eta.csv"
+    fam.write_text(json.dumps({"kind": "pn", "n": 4001, "gamma": 1, "alpha": "33/256",
+                               "sd_order_bound": 0, "family_csd": 1, "size": 1,
+                               "min_csd": 1, "taps": [15, 14]}))
+    _assert_exits_2_with_one_line(["spectrum", "--family", str(fam), "--eta",
+                                   "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [["--eta", "--bandwidths", "nan,1"],
+                                 ["--eta", "--bandwidths", "0,1"],
+                                 ["--slope", "--fit-lo", "nan"],
+                                 ["--slope", "--fit-hi", "nan"]],
+                         ids=["bandwidth_nan", "bandwidth_0", "fit_lo_nan", "fit_hi_nan"])
+def test_bad_spectrum_measurement_exits_2_with_one_line(family48, tmp_path, bad):
+    out = tmp_path / "out.csv"
+    _assert_exits_2_with_one_line(["spectrum", "--family", str(family48), *bad,
+                                   "--span", "32", "--points", str(2 ** 16),
+                                   "--out", str(out)])
     assert not out.exists()
 
 
