@@ -72,13 +72,14 @@ class ChannelProfile:
     def from_dict(cls, data: dict) -> "ChannelProfile":
         try:
             name = data["name"]
-            taps = [(float(t["delay_ns"]), float(t["power_db"])) for t in data["taps"]]
-        except (TypeError, KeyError, ValueError) as exc:
+            delays = tuple(float(t["delay_ns"]) * 1e-9 for t in data["taps"])
+            powers = np.array([10.0 ** (float(t["power_db"]) / 10.0) for t in data["taps"]])
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise DomainError(
                 f"profile needs a name and taps [{{delay_ns, power_db}}, ...]: {exc!r}"
             ) from exc
-        delays = tuple(d * 1e-9 for d, _ in taps)
-        powers = np.array([10.0 ** (p / 10.0) for _, p in taps])
+        if not (np.isfinite(powers).all() and powers.sum() > 0):
+            raise DomainError(f"linear tap powers {powers.tolist()} need finite values, sum > 0")
         if data.get("normalize", True):
             powers = powers / powers.sum()
         return cls(name, delays, tuple(float(p) for p in powers))

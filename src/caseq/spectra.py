@@ -20,6 +20,8 @@ import numpy as np
 from ._kernels import _CHUNK, spectrum_power
 from .seqforge import MAX_DENSE_TABLE_BYTES, CaSequence, Family
 
+ETA_FLOOR = 1e-15  # eta's rounding floor (-150 dB): family fractions below it read it
+
 
 class ResolutionError(ValueError):
     """Grid too coarse (or window too poor) for the requested measurement."""
@@ -154,38 +156,39 @@ def _cin_si(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cin, np.copysign(si, x)
 
 
-def _lag_terms(cfg, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """P and Q of _band_kernel over the lag l = n - m, zero at l = 0, with
-    e_l = exp(2j pi l alpha gamma) from the exact fraction."""
-    ag = cfg.alpha_gamma
-    lag = np.arange(1 - n, n, dtype=np.int64)
-    e = np.exp(2j * np.pi * ((lag * ag.numerator) % ag.denominator) / ag.denominator)
-    d = 4 * np.pi ** 2 * cfg.gamma * np.where(lag == 0, np.inf, lag)
-    idx = np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
-    return ((1.0 + e) / d)[idx], (1j * (1.0 - e) / d)[idx]
+def _hilbert(x: np.ndarray) -> np.ndarray:
+    """(Hx)_n = sum_{m != n} x_m / (n - m) along the last axis: the Toeplitz kernel
+    1/l in a circulant of length 2^ceil(log2(2N - 1)), one FFT convolution."""
+    n = x.shape[-1]
+    kernel = np.zeros(1 << (2 * n - 2).bit_length())
+    kernel[1:n] = 1.0 / np.arange(1, n)
+    kernel[:-n:-1] = -kernel[1:n]
+    return np.fft.ifft(np.fft.fft(x, kernel.size) * np.fft.fft(kernel))[..., :n]
 
 
-def _band_kernel(p: np.ndarray, q: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                 pulse_t: float) -> np.ndarray:
-    """K_B[n, m] = int D(f - x_n) conj(D(f - x_m)) df over a band whose
-    edges lie at u1 and u2 from x_n.  With c = 2 pi T, d = (n - m) gamma,
-    dCin and dSi the changes of Cin(c|u|) and Si(c u) from u1 to u2,
-    P = (1 + e_l) / (4 pi^2 d) and Q = 1j (1 - e_l) / (4 pi^2 d), partial
-    fractions give P (dCin_n - dCin_m) + Q (dSi_n + dSi_m) off the diagonal
-    (the log singularities cancel into Cin), and the diagonal is
-    [T Si(c u) / pi - T^2 u sinc^2(T u)] from u1 to u2."""
+def _energy_terms(chi: np.ndarray, cfg) -> np.ndarray:
+    """[|a|^2, 2 Re(a P conj(a)), 2 Re(a Q conj(a))] (J x 3N), a the amplitudes of chi.
+
+    Off its diagonal K_B[n, m] = P_l (dCin_n - dCin_m) + Q_l (dSi_n + dSi_m), l = n - m,
+    4 pi^2 gamma l (P_l, Q_l) = (1 + e_l, 1j (1 - e_l)), e_l = exp(2j pi l alpha gamma).
+    As P_-l = -conj(P_l) and Q_-l = conj(Q_l), that part of the form is 2 Re sum a (dCin
+    P conj(a) + dSi Q conj(a)), and 4 pi^2 gamma (P, Q) conj(a) = (1, 1j) (H conj(a) +-
+    e H(conj(e a))) with the Hilbert transform H and e a = chi / sqrt(N)."""
+    amps, c = _subcarrier_amps(chi, cfg), chi / math.sqrt(chi.shape[-1])
+    h, hc = _hilbert(np.stack([amps.conj(), c.conj()])) / (2 * np.pi ** 2 * cfg.gamma)
+    direct, twisted = amps * h, c * hc
+    return np.concatenate([np.abs(amps) ** 2, (direct + twisted).real,
+                           (twisted - direct).imag], axis=-1)
+
+
+def _band_weights(u1: np.ndarray, u2: np.ndarray, pulse_t: float) -> np.ndarray:
+    """w with Re a^T K_B conj(a) = _energy_terms(chi) @ w, K_B[n, m] = int D(f - x_n)
+    conj(D(f - x_m)) df over the band whose edges lie at u1 and u2 from x_n (rows:
+    bands): [diag K_B, dCin, dSi], the changes of Cin(2 pi T|u|), Si(2 pi T u) from u1 to u2."""
     cin, si = _cin_si(2 * np.pi * pulse_t * np.stack([u1, u2]))
     dcin, dsi = cin[1] - cin[0], si[1] - si[0]
-    k = p * (dcin[:, None] - dcin)
-    k += q * (dsi[:, None] + dsi)
     edge = pulse_t ** 2 * (u2 * np.sinc(pulse_t * u2) ** 2 - u1 * np.sinc(pulse_t * u1) ** 2)
-    np.fill_diagonal(k, pulse_t * dsi / np.pi - edge)
-    return k
-
-
-def _quad(amps: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Re a^T K conj(a) for each row a of amps."""
-    return np.einsum("jm,jm->j", amps @ k, amps.conj()).real
+    return np.concatenate([pulse_t * dsi / np.pi - edge, dcin, dsi], axis=-1)
 
 
 def out_of_band_fraction(family: Family, bandwidths: list[float],
@@ -195,36 +198,31 @@ def out_of_band_fraction(family: Family, bandwidths: list[float],
 
     Returns (B, eta_db) rows.  A member's fraction is (total - inside) / total, exact
     with no frequency grid: inside = Re a^T K_B conj(a) (not a^H K_B a) over
-    [f_1, f_2] = center -+ B gamma N / 2, and the Parseval total = Re a^T K_0 conj(a),
-    K_0 = 2 pi Q + T I being K_B as the band grows to every f.  Per B: O(N) sine and
-    cosine integrals, one N x N assembly, one (J x N) @ (N x N) product.  The 72 N^2
-    bytes of live N x N arrays (P, Q, K_B, two temporaries) are refused above
-    MAX_DENSE_TABLE_BYTES before any is allocated.
+    [f_1, f_2] = center -+ B gamma N / 2, and the Parseval total is the same form with
+    the weights (T, 0, pi) of the band grown to every f.  Two FFT products per member,
+    O(N) special-function values per B; members go in blocks of about 2^14 entries.
 
-    Rounding floor: a member's fraction is off by about 1e-15 (-150 dB); against a
-    40-digit evaluation of the same forms, by at most 7e-16 at N = 48, 139 and 838,
-    where a pma48 member reads -155 dB for an exact -172 dB.  grid_span and
-    grid_points are unused; callers pass them positionally.
+    Rounding floor: against a 40-digit evaluation of the same forms, a member's fraction
+    is off by at most 2.7e-16 (11 members of pma48, zc139, apma139, apma838; B = 0.5 to
+    8), so family fractions below ETA_FLOOR = 1e-15 (-150 dB) read it: pma48 at B = 8,
+    exact -172 dB, reads -150 dB.  grid_span and grid_points are unused positionals.
     """
     if not all(b > 0 and math.isfinite(b) for b in bandwidths):
         raise ResolutionError(f"bandwidths {bandwidths} must be finite and positive")
-    cfg, n = family.cfg, family.n
-    if 72 * n * n > MAX_DENSE_TABLE_BYTES:
-        raise ResolutionError(
-            f"eta at N={n} needs {72 * n * n / 2 ** 30:.3g} GiB of N x N kernels, "
-            f"above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
-    pulse_t = cfg.pulse_duration
+    cfg, n, pulse_t = family.cfg, family.n, family.cfg.pulse_duration
     u = (0.5 * (n - 1) - np.arange(n)) * cfg.gamma  # band center minus x_n
-    amps = _subcarrier_amps(family.chi_matrix(), cfg)
-    p, q = _lag_terms(cfg, n)
-    total = 2 * np.pi * _quad(amps, q) + pulse_t * np.sum(np.abs(amps) ** 2, axis=1)
-    rows = []
-    for b in bandwidths:
-        half = b * cfg.gamma * n / 2.0
-        inside = _quad(amps, _band_kernel(p, q, u - half, u + half, pulse_t))
-        frac = np.mean(np.maximum(total - inside, 0.0) / total)
-        rows.append((b, 10.0 * math.log10(max(frac, 1e-300))))
-    return rows
+    half = np.array(bandwidths)[:, None] * (cfg.gamma * n / 2.0)
+    weights = np.vstack([np.repeat([pulse_t, 0.0, np.pi], n),
+                         _band_weights(u - half, u + half, pulse_t)])
+    fracs = np.zeros(len(bandwidths))
+    rows = max(1, 2 ** 14 // n)
+    for lo in range(0, len(family), rows):
+        terms = _energy_terms(np.array([s.chi for s in family.sequences[lo:lo + rows]]), cfg)
+        # pairwise sums: a BLAS product's running sums cost 10 ulp at N = 839
+        total, *inside = [np.sum(terms * w, axis=-1) for w in weights]
+        fracs += np.sum((total - np.array(inside)) / total, axis=1)
+    return [(b, 10.0 * math.log10(max(f / len(family), ETA_FLOOR)))
+            for b, f in zip(bandwidths, fracs)]
 
 
 def spectrum_csv_rows(spec: SpectrumResult) -> list[tuple[float, float]]:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -179,8 +180,13 @@ def _family_edit(**fields):
     (["simulate", "--family", "{family}", "--profile", "{bad}", "--snr", "0",
       "--trials", "10"], lambda family: {"name": "x", "taps": [
           {"delay_ns": 0, "power_db": 0}, {"delay_ns": 50, "power_db": float("nan")}]}),
+    *[(["simulate", "--family", "{family}", "--profile", "{bad}", "--snr", "0",
+        "--trials", "10"], lambda family, db=db: {"name": "x", "taps": [
+            {"delay_ns": 0, "power_db": db}]})
+      for db in ("-inf", float("inf"), 5000)],  # total 0, inf (as 1e400 parses), overflow
 ], ids=["nu_vectors_int", "top_level_list", "sd_order_bound_edited",
-        "decomp_parts_int", "profile_taps_int", "profile_power_nan"])
+        "decomp_parts_int", "profile_taps_int", "profile_power_nan",
+        "profile_power_minus_inf", "profile_power_inf", "profile_power_overflow"])
 def test_malformed_json_exits_2_with_one_line(family48, tmp_path, argv, content):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content(family48)))
@@ -301,15 +307,16 @@ def test_oversized_spectrum_grid_exits_2_with_one_line(family48, tmp_path):
     assert not out.exists()
 
 
-def test_oversized_eta_kernels_exit_2_with_one_line(tmp_path):
-    # a pn member of length 4001: 72 N^2 bytes = 1.07 GiB of N x N kernels
+def test_eta_runs_on_a_long_pn_member(tmp_path):
+    # N = 4001, where N x N kernels (72 N^2 bytes) would take more than 1 GiB
     fam, out = tmp_path / "pn.json", tmp_path / "eta.csv"
     fam.write_text(json.dumps({"kind": "pn", "n": 4001, "gamma": 1, "alpha": "33/256",
                                "sd_order_bound": 0, "family_csd": 1, "size": 1,
                                "min_csd": 1, "taps": [15, 14]}))
-    _assert_exits_2_with_one_line(["spectrum", "--family", str(fam), "--eta",
-                                   "--out", str(out)])
-    assert not out.exists()
+    assert run(["spectrum", "--family", str(fam), "--eta", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    assert all(math.isfinite(float(eta_db)) for _, eta_db, _ in rows)
 
 
 @pytest.mark.parametrize("bad", [["--eta", "--bandwidths", "nan,1"],
