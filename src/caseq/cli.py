@@ -204,10 +204,10 @@ def cmd_simulate(args) -> int:
         _write_csv(out, ["snr_db", "metric", "mc_value", "ci_halfwidth",
                          "closed_form"], rachsim.result_csv_rows(result))
         outputs.append(out)
-        # which leakage tables and noise the model ran on, and their size
+        # which leakage tables, noise and tap sum the model ran on, and the tables' size
         echo = result.config_echo
         _write_manifest(args, outputs, {"simulation": {
-            k: echo[k] for k in ("leakage", "noise", "table_bytes")}})
+            k: echo[k] for k in ("leakage", "noise", "tap_sum", "table_bytes")}})
     return 0
 
 

@@ -12,9 +12,11 @@ correct-identification probabilities read their variances from the same
 tensor.  The tensor is held as a lookup, C_l[k, i] = table[l, index[k, i]]:
 for a flat phase-assigned family the table has one entry per tone and tap,
 built from the family's recipe, and for every other family it is the dense
-tensor.  Estimates come with one-sigma half-widths: Wilson intervals for
-p_fa and p_c, and the per-trial standard error for p_fid, whose J - 1
-events in a trial share one channel draw.
+tensor.  A table of at most 2J columns is multiplied by the tap gains whole;
+a wider one is gathered tap by tap.  Gains and request noise are complex
+Gaussians from normal draws.  Estimates come with one-sigma half-widths:
+z=1 Wilson intervals for p_fa and p_c, and the per-trial standard error
+for p_fid, whose J - 1 events in a trial share one channel draw.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ class RaResult:
 
 def _exponential(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     """Exponential draws of the given mean, -variance log(1 - u), one uniform
-    each: the squared modulus of a _cscg draw, from the same first uniform."""
+    each: the law of |w|^2 for w ~ CN(0, variance)."""
     x = rng.random(shape)
     np.log1p(np.negative(x, out=x), out=x)
     x *= -variance
@@ -166,17 +168,12 @@ def _exponential(rng: np.random.Generator, shape, variance: float) -> np.ndarray
 
 
 def _cscg(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
-    """Circularly-symmetric complex Gaussians via the polar (Box-Muller) form,
-    so draws depend only on the generator's uniform stream."""
-    mag = _exponential(rng, shape, variance)
-    u2 = rng.random(shape)
-    # mag = sqrt(-variance log(1 - u1)), then mag exp(2j pi u2), in place
-    np.sqrt(mag, out=mag)
-    out = np.zeros(mag.shape, dtype=complex)
-    np.multiply(u2, 2.0 * np.pi, out=out.imag)
-    np.exp(out, out=out)
-    out *= mag
-    return out
+    """Circularly-symmetric complex Gaussians: real and imaginary parts are
+    standard normals scaled by sqrt(variance / 2), drawn interleaved into one
+    float array and viewed as complex."""
+    w = rng.standard_normal((*np.atleast_1d(shape), 2))
+    w *= math.sqrt(variance / 2.0)
+    return w.view(complex)[..., 0]
 
 
 def _batch_rng(seed: int, label: int, batch: int) -> np.random.Generator:
@@ -338,20 +335,31 @@ def _noise(rng: np.random.Generator, shape, variance: float,
 
 def _noise_energy(rng: np.random.Generator, shape, variance: float,
                   colour: np.ndarray | None) -> np.ndarray:
-    """|w|^2 of `_noise`.  For white noise that is an exponential draw from
-    the first of _cscg's two uniforms, so no phase is drawn."""
+    """|w|^2 of `_noise` in law.  For white noise that is an exponential of
+    mean `variance` from one uniform per entry, `_exponential`; no complex
+    draw is made."""
     if colour is None:
         return _exponential(rng, shape, variance)
     return np.abs(_noise(rng, shape, variance, colour)) ** 2
 
 
 def wilson_sigma(successes: int, n: int) -> float:
-    """Half-width of the z=1 Wilson interval (a robust one-sigma proxy)."""
+    """Half-width of the z=1 Wilson interval about the estimate successes / n.
+
+    It is an interval for the unknown p, not a sigma for scoring the estimate
+    against a known p: near 0 or 1 it is far below the binomial sd there
+    (see `binomial_sd`)."""
     if n == 0:
         return 0.0
     p = successes / n
     denom = 1.0 + 1.0 / n
     return math.sqrt(p * (1.0 - p) / n + 1.0 / (4.0 * n * n)) / denom
+
+
+def binomial_sd(p: float, n: int) -> float:
+    """sqrt(p (1 - p) / n), the sd of a mean of n independent Bernoulli(p)
+    events: the sigma for scoring an estimate against a closed-form p."""
+    return math.sqrt(p * (1.0 - p) / n)
 
 
 def _subset(family: Family, j: int, seed: int) -> np.ndarray:
@@ -378,16 +386,23 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
     draws only |w|^2, an exponential of mean 1/snr.  The closed forms read
     the same tables.
 
+    The tap sum depends on the table width W.  For W <= 2J (a recipe family
+    picked at J >= N/2) the b x W product of the gains and the table is
+    formed once per batch and gathered at index[k_b, :] + b W, then freed
+    before the noise is drawn; otherwise the L taps are gathered from the
+    table one at a time.  `config_echo["tap_sum"]` says which ran.
+
     All randomness derives from (seed, SNR index, batch index) Philox keys,
     drawn in the order k, tap gains, request noise, no-request noise, so a
     rerun of the same config is bit-identical and two families with the
-    same J consume the same white draws (common random numbers).  The
-    seeded numbers differ from versions that drew N-dimensional noise.
+    same J consume the same white draws (common random numbers).  Complex
+    draws are pairs of standard normals, so the seeded numbers differ from
+    versions that drew them from uniforms by the polar form.
 
-    The p_fa and p_c sigmas are z=1 Wilson half-widths.  The J - 1
-    false-identification events of a trial share its channel draw, so the
-    p_fid sigma is the standard error of the per-trial false-identification
-    fraction, std(ddof=1) / sqrt(trials).
+    The p_fa and p_c sigmas are z=1 Wilson half-widths about the estimate.
+    The J - 1 false-identification events of a trial share its channel
+    draw, so the p_fid sigma is the standard error of the per-trial
+    false-identification fraction, std(ddof=1) / sqrt(trials).
     """
     fam = cfg.family
     pick = _subset(fam, cfg.j_sequences, cfg.seed)
@@ -401,9 +416,12 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
     sigma_fie, sigma_c = _variances(tables, cfg.profile.powers)
     colour = tables.colour
     tap_p = np.sqrt(np.asarray(cfg.profile.powers))
-    # reused buffers for the table positions of C_l[k, :] and their tap-by-tap gather
+    width = tables.table.shape[1]
+    # one product of the gains by a narrow table beats L gathers over b x J
+    product = width <= 2 * j
+    # reused buffers for the table positions of C_l[k, :] and, per tap, their gather
     rows = np.empty((min(BATCH, cfg.trials), j), dtype=np.intp)
-    tap = np.empty((min(BATCH, cfg.trials), j), dtype=complex)
+    tap = None if product else np.empty((min(BATCH, cfg.trials), j), dtype=complex)
 
     per_snr = []
     for snr_idx, snr_db in enumerate(cfg.snr_db_list):
@@ -420,13 +438,21 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             # no-request noise, in that order
             ks = rng.integers(0, j, size=b)
             gains = _cscg(rng, (b, len(tap_p))) * tap_p
-            y = _noise(rng, (b, j), noise_var, colour)
-            at, buf = rows[:b], tap[:b]
+            at = rows[:b]
             np.take(tables.index, ks, axis=0, out=at, mode="clip")
-            for l in range(len(tap_p)):
-                np.take(tables.table[l], at, out=buf, mode="clip")
-                buf *= gains[:, l, None]
-                y += buf
+            if product:
+                # row b of the b x W product at index[k_b, :]; the product is
+                # freed before the noise is drawn
+                at += np.arange(b)[:, None] * width
+                y = np.take((gains @ tables.table).reshape(-1), at, mode="clip")
+                y += _noise(rng, (b, j), noise_var, colour)
+            else:
+                y = _noise(rng, (b, j), noise_var, colour)
+                buf = tap[:b]
+                for l in range(len(tap_p)):
+                    np.take(tables.table[l], at, out=buf, mode="clip")
+                    buf *= gains[:, l, None]
+                    y += buf
             hits = np.abs(y) ** 2 > beta
             own = hits[np.arange(b), ks]
             fid = hits.sum(axis=1) - own
@@ -460,6 +486,7 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             "p_fa_target": cfg.p_fa_target, "beta": cfg.beta,
             "leakage": tables.source,
             "noise": "white" if colour is None else "coloured",
+            "tap_sum": "product" if product else "per_tap",
             "table_bytes": tables.table.nbytes + tables.index.nbytes,
         },
         per_snr=per_snr,

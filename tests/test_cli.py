@@ -270,9 +270,10 @@ def test_rerun_manifest_identical_outside_run_block(family48, tmp_path, cmd):
         parts.append(json.dumps(data, indent=2, sort_keys=True).encode())
     assert parts[0] == parts[1]
     if cmd == "simulate":
-        # dpma48 is a flat family: tables from its recipe, white noise
+        # dpma48 is a flat family: tables from its recipe, white noise, and
+        # its 48-column table is summed in one product at J = 35
         sim = json.loads(parts[0])["simulation"]
-        assert (sim["leakage"], sim["noise"]) == ("recipe", "white")
+        assert (sim["leakage"], sim["noise"], sim["tap_sum"]) == ("recipe", "white", "product")
         assert sim["table_bytes"] == 8 * 48 * 16 + 35 * 35 * 8
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -123,9 +124,24 @@ class TestRunSimulation:
                              p_fa_target=1e-2)
         res = rc.run_simulation(cfg)
         entry = res.per_snr[0]
+        # p_fa and p_c against the binomial sd at the closed form, p_fid
+        # against its reported per-trial sigma
+        events = {"p_fa": cfg.trials * len(apma139), "p_c": cfg.trials}
         for metric in ("p_fa", "p_fid", "p_c"):
             est, sigma = entry.mc[metric]
-            assert abs(est - entry.closed_form[metric]) <= 3 * max(sigma, 1e-9)
+            cf = entry.closed_form[metric]
+            if metric in events:
+                sigma = rc.binomial_sd(cf, events[metric])
+            assert abs(est - cf) <= 3 * max(sigma, 1e-9)
+
+    def test_score_sigma_near_one(self):
+        # 1 miss in 2048 trials where the closed form expects 7.25: the
+        # Wilson half-width about the estimate puts it 5.6 sigma out, the
+        # binomial sd at the closed form 2.3 sigma
+        n = 2048
+        est, p0 = 1.0 - 1.0 / n, 1.0 - 7.25 / n
+        assert (est - p0) / rc.wilson_sigma(n - 1, n) == pytest.approx(5.59, abs=0.01)
+        assert (est - p0) / rc.binomial_sd(p0, n) == pytest.approx(2.33, abs=0.01)
 
     def test_no_request_statistic_is_exponential(self, apma139):
         # Kolmogorov-Smirnov against Exp(mean 1/phi) at the 1% level
@@ -412,17 +428,21 @@ class TestLeakageTables:
         assert tables.colour is None
 
     @pytest.mark.parametrize("profile", ["umi", "ind"])
-    def test_recipe_and_dense_runs_agree(self, cfg_b139, profile):
-        # the same family with its recipe stripped takes the dense path
+    @pytest.mark.parametrize("j, recipe_sum", [(32, "per_tap"), (138, "product")])
+    def test_recipe_and_dense_runs_agree(self, cfg_b139, profile, j, recipe_sum):
+        # the same family with its recipe stripped takes the dense path; the
+        # 139-column recipe table is summed in one product at J = 138 and
+        # tap by tap at J = 32, the J^2-column dense table always tap by tap
         fam = sf.build_family("pma", cfg_b139)
         res = {}
-        for source, f in (("recipe", fam), ("dense", dataclasses.replace(fam, meta={}))):
+        for source, f, tap_sum in (("recipe", fam, recipe_sum),
+                                   ("dense", dataclasses.replace(fam, meta={}), "per_tap")):
             res[source] = rc.run_simulation(rc.RaSimConfig(
                 family=f, snr_db_list=[-4.0, 4.0], trials=3000, seed=13,
-                profile=rc.ChannelProfile.shipped(profile), j_sequences=32,
+                profile=rc.ChannelProfile.shipped(profile), j_sequences=j,
                 p_fa_target=1e-2))
             echo = res[source].config_echo
-            assert (echo["leakage"], echo["noise"]) == (source, "white")
+            assert (echo["leakage"], echo["noise"], echo["tap_sum"]) == (source, "white", tap_sum)
         assert res["recipe"].config_echo["table_bytes"] < res["dense"].config_echo["table_bytes"]
         for a, b in zip(res["recipe"].per_snr, res["dense"].per_snr):
             assert a.mc == b.mc
@@ -453,14 +473,43 @@ class TestLeakageTables:
         res = rc.run_simulation(rc.RaSimConfig(
             family=zc139, snr_db_list=[0.0], trials=200, seed=1,
             profile=rc.ChannelProfile.shipped("umi"), p_fa_target=1e-2))
-        assert (res.config_echo["leakage"], res.config_echo["noise"]) == ("dense", "coloured")
+        echo = res.config_echo
+        assert (echo["leakage"], echo["noise"], echo["tap_sum"]) == ("dense", "coloured", "per_tap")
         assert res.config_echo["table_bytes"] == (8 * 16 + 8) * 30 * 30
 
-    def test_white_noise_energy_is_the_modulus_of_the_same_draw(self):
-        # the phase-free draw reads the first uniform of _cscg; the phase
-        # only moves |w|^2 by rounding
-        key = [61, 62]
-        energy = rc._noise_energy(np.random.Generator(np.random.Philox(key=key)),
-                                  (200, 50), 0.3, None)
-        w = rc._noise(np.random.Generator(np.random.Philox(key=key)), (200, 50), 0.3, None)
-        assert np.allclose(energy, np.abs(w) ** 2, rtol=1e-14, atol=0)
+    def test_peak_memory_of_the_product_path(self, cfg_b839):
+        # pma839 at J = 838 sums its 839-column table in one product, which
+        # is freed before the noise is drawn: the traced peak stays below
+        # 3.5 blocks of b x J complex (the per-tap sum peaked at 3.96)
+        fam = sf.build_family("pma", cfg_b839)
+        cfg = rc.RaSimConfig(family=fam, snr_db_list=[2.0], trials=2048, seed=5,
+                             profile=rc.ChannelProfile.shipped("umi"), p_fa_target=1e-2)
+        tracemalloc.start()
+        try:
+            echo = rc.run_simulation(cfg).config_echo
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert echo["tap_sum"] == "product"
+        assert peak < 3.5 * 2048 * 838 * 16
+
+
+class TestNoiseDraws:
+    def test_cscg_is_circular_with_half_the_variance_per_part(self):
+        # Re and Im each of variance var / 2, E[w^2] = 0; the bounds are five
+        # standard errors of the sample moments over 200000 draws
+        draws, var = 200000, 0.3
+        w = rc._cscg(np.random.Generator(np.random.Philox(key=[61, 62])), draws, var)
+        se_var = var / 2 * math.sqrt(2.0 / draws)
+        assert abs(np.var(w.real) - var / 2) < 5 * se_var
+        assert abs(np.var(w.imag) - var / 2) < 5 * se_var
+        assert abs(np.mean(w * w)) < 5 * math.sqrt(2.0) * var / math.sqrt(draws)
+
+    def test_white_noise_energy_is_exponential(self):
+        # Kolmogorov-Smirnov against Exp(mean var) at the 1% level
+        draws, var = 100000, 0.3
+        energy = rc._noise_energy(np.random.Generator(np.random.Philox(key=[61, 62])),
+                                  draws, var, None)
+        cdf = 1.0 - np.exp(-np.sort(energy) / var)
+        empirical = (np.arange(1, draws + 1) - 0.5) / draws
+        assert np.max(np.abs(cdf - empirical)) < 1.63 / math.sqrt(draws)
