@@ -10,6 +10,7 @@ available under a minimum cyclic-shifting-distance restriction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,8 +115,14 @@ class Decomposition:
         return Decomposition(d.n, d.parts, mpo=mpo_value(n))
 
 
+#: Largest trial divisor: a cofactor above its square with no smaller prime
+#: factor is refused, as its primality is not settled.
+TRIAL_DIVISION_BOUND = 2 ** 20
+
+
 def prime_factorize(n: int) -> PrimeFactorization:
-    """Factor ``n`` by trial division; primes returned ascending."""
+    """Factor ``n`` by trial division up to TRIAL_DIVISION_BOUND; primes
+    returned ascending."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     return _prime_factorize_cached(n)
@@ -131,6 +138,9 @@ def _prime_factorize_cached(n: int) -> PrimeFactorization:
             m //= p
     p = 5
     while p * p <= m:
+        if p > TRIAL_DIVISION_BOUND:
+            raise DomainError(f"n={n} has a cofactor {m} with no prime factor up to "
+                              f"{TRIAL_DIVISION_BOUND}, where trial division stops")
         for q in (p, p + 2):
             while m % q == 0:
                 primes.append(q)
@@ -294,49 +304,66 @@ def pattern_codeword_sets(pattern: Sequence[int]) -> Iterator[tuple[tuple[int, .
     yield from rec(0, ())
 
 
-#: Most set partitions S(omega, omega - kappa) one exhaustive search may enumerate.
+#: Most factor multisets (multiplicative partitions of n) one search may visit.
 MAX_SEARCH_PARTITIONS = 50_000
 
 
-@lru_cache(maxsize=None)
-def _partition_skeleton(omega: int, level: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Set partitions of the prime positions 0..omega-1 into ``level`` blocks,
-    from weight patterns, codeword sets and codeword conversion; they do not
-    depend on the primes, so one enumeration serves every n of that omega."""
-    found = {tuple(sorted(tuple(m for m, bit in enumerate(cw) if bit)
-                          for cw in codeword_conversion(cwset)))
-             for pattern in integer_partitions(omega, level)
-             for cwset in pattern_codeword_sets(pattern)}
-    return tuple(sorted(found))
+def _factorizations(n: int, level: int, least: int = 2) -> Iterator[tuple[int, ...]]:
+    """Each multiset of exactly ``level`` factors >= least >= 2 with product n,
+    once, as an ascending tuple and in lexicographic order.
 
-
-def _factor_multisets(pf: PrimeFactorization, level: int) -> set[tuple[int, ...]]:
-    """All distinct factor multisets of n with exactly ``level`` factors."""
-    return {tuple(sorted(math.prod(pf.primes[m] for m in block) for block in blocks))
-            for blocks in _partition_skeleton(pf.omega, level)}
+    A depth-first walk on an explicit stack (no recursion limit) that splits
+    ``rest`` into ``left`` factors: the next factor d runs up over the
+    divisors of rest from the previous one while d**left <= rest, and the
+    last factor is rest.  With spare = Omega(rest) - left, d holds at most
+    spare + 1 primes, and the primes of rest below d that d leaves need one
+    merge per two: at most 2 * (spare + 1 - Omega(d)) of them.
+    """
+    ps, exps = zip(*[(p, len(list(r))) for p, r in itertools.groupby(prime_factorize(n).primes)])
+    # each divisor of at most omega - level + 1 primes is a factor of some multiset,
+    # which holds at most level of them; counts[w]: the divisors of w primes
+    counts = [1]
+    for e in exps:
+        counts = [sum(counts[max(0, w - e):w + 1])
+                  for w in range(min(sum(exps) - level + 2, len(counts) + e))]
+    if level > 1 and sum(counts) - 1 > level * MAX_SEARCH_PARTITIONS:
+        raise DomainError(f"n={n} has more than {MAX_SEARCH_PARTITIONS} multisets of "
+                          f"{level} factors, above the limit")
+    stack = [(n, exps, level, least, ())] if level <= sum(exps) else []
+    while stack:
+        rest, exps, left, low, head = stack.pop()  # exps: the exponents of rest over ps
+        if left == 1:
+            if rest >= low:
+                yield (*head, rest)
+            continue
+        spare = sum(exps) - left
+        # hence at most 2 * spare primes of rest lie below d: d <= the (2 * spare + 1)-th
+        cap = next((p for p, c in zip(ps, itertools.accumulate(exps)) if c > 2 * spare), rest)
+        quotients = {1: exps}  # each candidate d: the exponents of rest // d
+        for i, p in [(i, p) for i, p in enumerate(ps) if exps[i] and p <= cap]:
+            for d, q in list(quotients.items()):
+                for j in range(1, min(q[i], spare + 1 - sum(exps) + sum(q)) + 1):
+                    d *= p
+                    if d > cap or d ** left > rest:
+                        break
+                    quotients[d] = q[:i] + (q[i] - j,) + q[i + 1:]
+        stack.extend(reversed([
+            (rest // d, q, left - 1, d, (*head, d)) for d, q in sorted(quotients.items())
+            if d >= low and sum(e for p, e in zip(ps, q) if p < d) <= 2 * (sum(q) - left + 1)]))
 
 
 def exclusive_search_proper(pf: PrimeFactorization, kappa: int) -> FactorSet:
-    """Exhaustive search for a level-(omega-kappa) factor set of maximum
-    family size.
-
-    Keeps the factor multiset maximizing prod(A_m - 1) over the cached
-    partition skeleton, ties to the lexicographically smallest; more than
-    MAX_SEARCH_PARTITIONS partitions are refused before enumerating.
-    """
+    """Exhaustive search for a level-(omega-kappa) factor set maximizing the
+    family size prod(A_m - 1) over _factorizations, ties to the first (the
+    lexicographically smallest); more than MAX_SEARCH_PARTITIONS are refused."""
     if not 1 <= kappa <= pf.omega - 1:
         raise DomainError(f"kappa must be in [1, {pf.omega - 1}], got {kappa}")
-    level = pf.omega - kappa
-    # the Stirling number S(omega, level) of set partitions to enumerate
-    partitions = sum((-1) ** j * math.comb(level, j) * (level - j) ** pf.omega
-                     for j in range(level + 1)) // math.factorial(level)
-    if partitions > MAX_SEARCH_PARTITIONS:
-        raise DomainError(
-            f"exhaustive search of n={pf.n} at kappa={kappa} spans {partitions} "
-            f"prime groupings, above the limit {MAX_SEARCH_PARTITIONS}")
-    # max keeps the first of equal sizes: the smallest in sorted order
-    best = max(sorted(_factor_multisets(pf, level)),
+    multisets = _factorizations(pf.n, pf.omega - kappa)
+    best = max(itertools.islice(multisets, MAX_SEARCH_PARTITIONS),
                key=lambda factors: math.prod(a - 1 for a in factors))
+    if next(multisets, None) is not None:
+        raise DomainError(f"exhaustive search of n={pf.n} at kappa={kappa} meets more "
+                          f"than {MAX_SEARCH_PARTITIONS} factor multisets, above the limit")
     return FactorSet(pf.n, best, kappa=kappa)
 
 

@@ -37,7 +37,7 @@ HAT_KINDS = ("hat_pma", "hat_dpma", "apma", "adpma")
 ORTHOGONAL_KINDS = ("pma", "dpma", "near_dpma", "hat_pma", "hat_dpma", "apma", "adpma")
 
 #: Most bytes one dense table may take: the simulator's leakage tables (L x J^2
-#: complex entries and a J x J index), the verifier's complex Gram, a pn
+#: complex entries and a J x J index), the verifier's complex Gram, every
 #: family's J x N chi and a spectrum's grid arrays.  Larger ones are refused
 #: before anything is allocated.
 MAX_DENSE_TABLE_BYTES = 2 ** 30
@@ -273,7 +273,17 @@ def _sd_bound(level: int, cfg: WaveformConfig) -> int:
     return level if cfg.condition == "A" else level // 2
 
 
+def _check_chi_size(kind: str, members: int, n: int) -> None:
+    """Refuse a complex J x N chi above MAX_DENSE_TABLE_BYTES before any row exists."""
+    need = 16 * members * n
+    if need > MAX_DENSE_TABLE_BYTES:
+        raise DomainError(
+            f"{members} {kind} members of length {n} need {need / 2 ** 30:.4g} GiB of chi, "
+            f"above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
+
+
 def _build_flat_family(kind: str, fs: FactorSet, cfg: WaveformConfig) -> Family:
+    _check_chi_size(kind, fs.family_size, cfg.n_seq)
     factors = fs.sorted_descending()
     nus = _nu_vectors(factors)
     return Family(
@@ -377,6 +387,8 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
             f"{kind} needs kappa in [1, {decomp.min_omega - 1}] for parts "
             f"{decomp.parts}, got {kappa}")
     factor_sets = [factorlab.factor_set(p, kappa) for p in decomp.parts]
+    # member i takes the i-th index vector of every part; augmenting doubles them
+    _check_chi_size(kind, min(fs.family_size for fs in factor_sets) * (1 + augmented), n)
     base_kind = "hat_dpma" if kappa else "hat_pma"
     fam = _build_hat_family(base_kind, decomp, factor_sets, cfg, kappa)
     if augmented:
@@ -463,6 +475,7 @@ def build_multiroot_zc_family(cfg: WaveformConfig, count: int, min_csd: int,
         raise DomainError(
             f"{count} sequences need more than {len(roots)} roots at "
             f"min_csd={min_csd}")
+    _check_chi_size("zc", count, n)
     used = [{"root": root, "cyclic_shift": k * min_csd}
             for root in roots for k in range(per_root)][:count]
     bases = {m["root"]: build_zc_sequence(m["root"], n, cfg).chi for m in used}
@@ -507,11 +520,7 @@ def build_pn_family(cfg: WaveformConfig, count: int, min_csd: int) -> Family:
     if count * min_csd > period:
         raise DomainError(
             f"{count} members at spacing {min_csd} exceed the register period")
-    need = 16 * count * n  # the complex J x N chi
-    if need > MAX_DENSE_TABLE_BYTES:
-        raise DomainError(
-            f"{count} pn members of length {n} need {need / 2 ** 30:.3g} GiB of chi, "
-            f"above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
+    _check_chi_size("pn", count, n)
     bits = m_sequence()[(np.arange(count)[:, None] * min_csd + np.arange(n)) % period]
     rows = (1.0 - 2.0 * bits).astype(np.complex128)
     rows *= _signs(n, cfg.gamma)

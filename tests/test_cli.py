@@ -245,9 +245,21 @@ def test_spectrum_needs_exactly_one_measurement_exits_2(family48, tmp_path, flag
 
 
 def test_oversized_exhaustive_search_exits_2_with_one_line():
-    # omega(4096) = 12: S(12, 6) ~ 1.3e6 prime groupings, refused before enumerating
-    _assert_exits_2_with_one_line(["factorize", "--n", "4096", "--kappa", "6",
+    # 11 distinct primes: more than 5e4 factor multisets at kappa 6
+    _assert_exits_2_with_one_line(["factorize", "--n", "200560490130", "--kappa", "6",
                                    "--mode", "exhaustive"])
+
+
+def test_unsettled_cofactor_exits_2_with_one_line():
+    # a 17-digit prime: no factor up to the trial-division bound
+    _assert_exits_2_with_one_line(["factorize", "--n", "10000000000000061"])
+
+
+def test_oversized_chi_exits_2_with_one_line(tmp_path):
+    # 8208 pma members of length 8209: 1.004 GiB of chi, refused before any row
+    out = tmp_path / "big.json"
+    _assert_exits_2_with_one_line(["build", "--n", "8209", "--kind", "pma", "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["build", "simulate"])

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,6 +38,22 @@ class TestPrimeFactorize:
         for bad in (1, 0, -5):
             with pytest.raises(DomainError):
                 fl.prime_factorize(bad)
+
+    def test_trial_division_stops_at_its_bound(self):
+        # a 17-digit prime has no factor up to the bound and is above its square
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="trial division"):
+            fl.prime_factorize(10000000000000061)
+        assert time.perf_counter() - start < 1.0
+        bound = fl.TRIAL_DIVISION_BOUND
+        assert fl.prime_factorize(2 ** 60).primes == (2,) * 60
+        assert fl.prime_factorize(1000000000039).primes == (1000000000039,)  # below bound**2
+        assert fl.prime_factorize(1048573 * 1048571).primes == (1048571, 1048573)
+        assert 1048573 < bound < 1048583
+        with pytest.raises(DomainError, match="trial division"):
+            fl.prime_factorize(1048583 ** 2)  # both factors above the bound
+        primorial = math.prod(_first_primes(15))
+        assert fl.prime_factorize(primorial).primes == tuple(_first_primes(15))
 
     def test_product_reconstructs(self):
         for n in range(2, 500):
@@ -290,7 +307,17 @@ def _stirling2_recurrence(n, k):
     return k * _stirling2_recurrence(n - 1, k) + _stirling2_recurrence(n - 1, k - 1)
 
 
-class TestPartitionSkeleton:
+def _first_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+class TestFactorizations:
     def test_matches_per_length_enumeration(self):
         checked = 0
         for n in range(2, 1000):
@@ -299,37 +326,61 @@ class TestPartitionSkeleton:
                 continue
             for kappa in range(1, pf.omega):
                 level = pf.omega - kappa
-                assert fl._factor_multisets(pf, level) == _oracle_factor_multisets(pf, level), \
-                    (n, kappa)
+                got = list(fl._factorizations(n, level))
+                assert set(got) == _oracle_factor_multisets(pf, level), (n, kappa)
+                # each multiset once, ascending, and yielded in lexicographic order
+                assert got == sorted(set(got)), (n, kappa)
+                assert all(list(f) == sorted(f) for f in got), (n, kappa)
                 checked += 1
         assert checked > 1500
 
     @pytest.mark.parametrize("omega", range(1, 9))
-    def test_sizes_are_stirling_numbers(self, omega):
+    def test_counts_are_stirling_and_partition_numbers(self, omega):
+        squarefree = math.prod(_first_primes(omega))
         for level in range(1, omega + 1):
-            skeleton = fl._partition_skeleton(omega, level)
-            assert len(skeleton) == _stirling2_recurrence(omega, level)
-            assert len(set(skeleton)) == len(skeleton)
-            for blocks in skeleton:
-                assert sorted(m for block in blocks for m in block) == list(range(omega))
+            # distinct primes: the set partitions into level blocks
+            assert (sum(1 for _ in fl._factorizations(squarefree, level))
+                    == _stirling2_recurrence(omega, level))
+            # one prime: the integer partitions of the exponent into level parts
+            assert (sum(1 for _ in fl._factorizations(2 ** omega, level))
+                    == len(fl.integer_partitions(omega, level)))
+        assert list(fl._factorizations(squarefree, omega + 1)) == []
 
-    def test_cache_can_be_cleared(self):
-        # the benchmark empties every memo cache between passes
-        fl._partition_skeleton(4, 2)
-        fl._partition_skeleton.cache_clear()
-        assert fl._partition_skeleton.cache_info().currsize == 0
-
-    def test_oversized_search_refused_before_enumerating(self):
-        pf = fl.prime_factorize(2 ** 11)  # S(11, 5) = 246730 groupings at kappa 6
-        assert _stirling2_recurrence(11, 5) > fl.MAX_SEARCH_PARTITIONS
-        fl._partition_skeleton.cache_clear()
+    def test_oversized_search_refused_and_prime_powers_answered(self):
+        pf = fl.prime_factorize(200560490130)  # 11 distinct primes: S(11, 5) = 246730 at kappa 6
+        assert pf.omega == 11 and _stirling2_recurrence(11, 5) > fl.MAX_SEARCH_PARTITIONS
         with pytest.raises(DomainError, match="limit"):
             fl.exclusive_search_proper(pf, 6)
         with pytest.raises(DomainError, match="limit"):
-            fl.factor_set(4096, 6, "exhaustive")
-        assert fl._partition_skeleton.cache_info().currsize == 0
+            fl.factor_set(200560490130, 6, "exhaustive")
+        # a prime power has one factor multiset per partition of its exponent
+        for omega, factors, size in [(11, (4, 4, 4, 4, 8), 567), (12, (4,) * 6, 729)]:
+            level = omega - 6
+            candidates = sorted(tuple(sorted(2 ** a for a in part))
+                                for part in fl.integer_partitions(omega, level))
+            best = max(candidates, key=lambda f: math.prod(a - 1 for a in f))
+            assert (best, math.prod(a - 1 for a in best)) == (factors, size)
+            fs = fl.factor_set(2 ** omega, 6, "exhaustive")
+            assert (fs.factors, fs.family_size) == (factors, size)
+            assert fl.exclusive_search_proper(fl.prime_factorize(2 ** omega), 6) == fs
         # the closed form needs no enumeration and stays available
         assert fl.factor_set(2 ** 11, 1).family_size == 3
+
+    def test_deep_and_wide_inputs(self):
+        # 1199 factors: the walk keeps its own stack, not the interpreter's
+        assert list(fl._factorizations(2 ** 1200, 1199)) == [(2,) * 1198 + (4,)]
+        # 30 distinct primes, one merge: C(30, 2) multisets; the best merges 2 * 3
+        primes = _first_primes(30)
+        assert sum(1 for _ in fl._factorizations(math.prod(primes), 29)) == 435
+        fs = fl.factor_set(math.prod(primes), 1, "exhaustive")
+        assert fs.factors == tuple(sorted([6] + primes[2:]))
+        # 16 distinct primes at level 2: 2^16 - 2 divisors can be a factor, more than
+        # the limit, yet 2^15 - 1 multisets are within it and answered
+        primes = _first_primes(16)
+        assert sum(1 for _ in fl._factorizations(math.prod(primes), 2)) == 2 ** 15 - 1
+        # 62 distinct primes at level 31: refused from the divisor count, unwalked
+        with pytest.raises(DomainError, match="limit"):
+            next(fl._factorizations(math.prod(_first_primes(62)), 31))
 
 
 @lru_cache(maxsize=None)

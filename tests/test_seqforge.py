@@ -495,6 +495,28 @@ class TestBaselines:
             assert len(sf.build_family("pn", sf.WaveformConfig(13), count=5, min_csd=2)) == 5
 
 
+@pytest.mark.parametrize("kind, members, kwargs", [
+    ("pma", 138, {}),
+    ("hat_pma", 10, {"decomp": (50, 45, 44)}),  # part family sizes 16, 16 and 10
+    ("apma", 20, {"decomp": (50, 45, 44)}),  # augmenting doubles the hat members
+    ("zc", 10, {"count": 10, "min_csd": 13}),
+], ids=["pma139", "hat_pma139", "apma139", "zc139"])
+@pytest.mark.parametrize("refused", [False, True], ids=["at_limit", "byte_below"])
+def test_chi_limit_counts_sixteen_bytes_per_entry(monkeypatch, cfg_b139, kind, members, kwargs,
+                                                  refused):
+    kwargs = dict(kwargs)
+    if "decomp" in kwargs:
+        kwargs["decomp"] = fl.Decomposition.from_parts(139, kwargs["decomp"])
+    monkeypatch.setattr(sf, "MAX_DENSE_TABLE_BYTES", 16 * members * 139 - refused)
+    if refused:  # before any row exists
+        monkeypatch.setattr(sf, "_phase_rows", lambda *a, **k: pytest.fail("rows built"))
+        monkeypatch.setattr(sf, "build_zc_sequence", lambda *a, **k: pytest.fail("rows built"))
+        with pytest.raises(DomainError, match="GiB of chi"):
+            sf.build_family(kind, cfg_b139, **kwargs)
+    else:
+        assert len(sf.build_family(kind, cfg_b139, **kwargs)) == members
+
+
 def _round_trip(fam, include_sequences=False):
     """Export, reload through JSON text, and check the reload is bit-exact."""
     data = sf.family_to_dict(fam, include_sequences=include_sequences)
