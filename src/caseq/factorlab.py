@@ -10,6 +10,7 @@ available under a minimum cyclic-shifting-distance restriction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -306,64 +307,117 @@ def pattern_codeword_sets(pattern: Sequence[int]) -> Iterator[tuple[tuple[int, .
 
 #: Most factor multisets (multiplicative partitions of n) one search may visit.
 MAX_SEARCH_PARTITIONS = 50_000
+#: Most factors, summed over those multisets, one search may visit: a deep
+#: search costs its level per multiset.  A search with at most
+#: MAX_SEARCH_PARTITIONS set partitions of its primes stays below it: the
+#: largest level * S(omega, level) among them is 315 * C(316, 2) = 15_677_550.
+MAX_SEARCH_FACTORS = 16_000_000
 
 
-def _factorizations(n: int, level: int, least: int = 2) -> Iterator[tuple[int, ...]]:
-    """Each multiset of exactly ``level`` factors >= least >= 2 with product n,
-    once, as an ascending tuple and in lexicographic order.
+def _check_search_size(exps: Sequence[int], level: int) -> None:
+    """Refuse before any walk a search with provably more than
+    MAX_SEARCH_PARTITIONS multisets of ``level`` factors, for the n with
+    prime exponents ``exps`` and kappa = Omega(n) - level >= 0, from two floors:
 
-    A depth-first walk on an explicit stack (no recursion limit) that splits
-    ``rest`` into ``left`` factors: the next factor d runs up over the
-    divisors of rest from the previous one while d**left <= rest, and the
-    last factor is rest.  With spare = Omega(rest) - left, d holds at most
-    spare + 1 primes, and the primes of rest below d that d leaves need one
-    merge per two: at most 2 * (spare + 1 - Omega(d)) of them.
+    - a divisor of at most kappa + 1 primes is a factor of some multiset
+      (for level > 1), and a multiset holds at most level of them;
+    - the prime counts of the factors, less one each, are a partition of
+      kappa into at most level parts, and every such partition is met.
     """
-    ps, exps = zip(*[(p, len(list(r))) for p, r in itertools.groupby(prime_factorize(n).primes)])
-    # each divisor of at most omega - level + 1 primes is a factor of some multiset,
-    # which holds at most level of them; counts[w]: the divisors of w primes
-    counts = [1]
+    kappa = sum(exps) - level
+    counts = [1]  # counts[w]: the divisors of w <= kappa + 1 primes
     for e in exps:
-        counts = [sum(counts[max(0, w - e):w + 1])
-                  for w in range(min(sum(exps) - level + 2, len(counts) + e))]
-    if level > 1 and sum(counts) - 1 > level * MAX_SEARCH_PARTITIONS:
-        raise DomainError(f"n={n} has more than {MAX_SEARCH_PARTITIONS} multisets of "
-                          f"{level} factors, above the limit")
-    stack = [(n, exps, level, least, ())] if level <= sum(exps) else []
+        counts = [sum(counts[max(0, w - e):w + 1]) for w in range(min(kappa + 2, len(counts) + e))]
+    ways = [1] + [0] * kappa  # ways[t]: the partitions of t into parts up to `part`
+    for part in range(1, min(level, kappa) + 1):
+        if ways[kappa] > MAX_SEARCH_PARTITIONS:
+            break
+        for t in range(part, kappa + 1):
+            ways[t] += ways[t - part]
+    if ways[kappa] > MAX_SEARCH_PARTITIONS or (
+            level > 1 and sum(counts) - 1 > level * MAX_SEARCH_PARTITIONS):
+        raise DomainError(f"n with prime exponents {tuple(exps)} has more than "
+                          f"{MAX_SEARCH_PARTITIONS} multisets of {level} factors, above the limit")
+
+
+def _next_factors(primes: tuple[int, ...], rest: int, left: int, low: int) -> list[int]:
+    """The factors d >= low, ascending, that can come next when ``rest``, the
+    product of the ascending ``primes``, splits into ``left`` ascending factors.
+
+    spare = len(primes) - left merges remain, so d holds at most spare + 1
+    primes, and d**left <= rest.  A prime of rest // d below d shares a factor
+    with another prime, so at most twice the merges left after d are below
+    d; hence d <= primes[2 * spare].
+    """
+    spare = len(primes) - left
+    cap = primes[2 * spare] if 2 * spare < len(primes) else rest
+    found = [(1, 0, 0)]  # a divisor, its prime count and the first prime it may take next;
+    # the loop walks the list as it grows
+    for d, count, j in found:
+        # the next prime is the first of its value from j on: each divisor once
+        while j < len(primes) and count <= spare and d * primes[j] <= cap and (
+                (d * primes[j]) ** left <= rest):
+            found.append((d * primes[j], count + 1, j + 1))
+            j = bisect.bisect_right(primes, primes[j], j)
+    # the primes of rest // d below d: those below d, less d's own when d is composite
+    return sorted(d for d, count, _ in found[1:] if d >= low and
+                  bisect.bisect_left(primes, d) - count * (count > 1) <= 2 * (spare - count + 1))
+
+
+def _without(primes: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """The ascending ``primes`` less those of d, a divisor of their product."""
+    kept = []
+    for i, p in enumerate(primes):
+        if d == 1:
+            return (*kept, *primes[i:])
+        if d % p:
+            kept.append(p)
+        else:
+            d //= p
+    return tuple(kept)
+
+
+def _factorizations(n: int, level: int) -> Iterator[tuple[int, ...]]:
+    """Each multiset of exactly ``level`` factors >= 2 with product n, once,
+    as an ascending tuple and in lexicographic order.
+
+    A depth-first walk on an explicit stack (no recursion limit).  An entry
+    puts factor d at ``depth`` of the one shared ``head`` and leaves ``rest``
+    to split; it keeps its parent's primes, so the stack holds no copies.
+    """
+    primes = prime_factorize(n).primes
+    if level > len(primes):
+        return
+    _check_search_size([len(list(run)) for _, run in itertools.groupby(primes)], level)
+    head: list[int] = []
+    stack = [(0, 1, n, primes)]  # factor 1 at depth 0 stands for the empty head
     while stack:
-        rest, exps, left, low, head = stack.pop()  # exps: the exponents of rest over ps
-        if left == 1:
-            if rest >= low:
-                yield (*head, rest)
+        depth, d, rest, parent = stack.pop()
+        del head[depth:]
+        head.append(d)
+        if depth == level - 1:
+            yield (*head[1:], rest)
             continue
-        spare = sum(exps) - left
-        # hence at most 2 * spare primes of rest lie below d: d <= the (2 * spare + 1)-th
-        cap = next((p for p, c in zip(ps, itertools.accumulate(exps)) if c > 2 * spare), rest)
-        quotients = {1: exps}  # each candidate d: the exponents of rest // d
-        for i, p in [(i, p) for i, p in enumerate(ps) if exps[i] and p <= cap]:
-            for d, q in list(quotients.items()):
-                for j in range(1, min(q[i], spare + 1 - sum(exps) + sum(q)) + 1):
-                    d *= p
-                    if d > cap or d ** left > rest:
-                        break
-                    quotients[d] = q[:i] + (q[i] - j,) + q[i + 1:]
-        stack.extend(reversed([
-            (rest // d, q, left - 1, d, (*head, d)) for d, q in sorted(quotients.items())
-            if d >= low and sum(e for p, e in zip(ps, q) if p < d) <= 2 * (sum(q) - left + 1)]))
+        primes = _without(parent, d)
+        stack.extend((depth + 1, c, rest // c, primes)
+                     for c in reversed(_next_factors(primes, rest, level - depth, d)))
 
 
 def exclusive_search_proper(pf: PrimeFactorization, kappa: int) -> FactorSet:
     """Exhaustive search for a level-(omega-kappa) factor set maximizing the
     family size prod(A_m - 1) over _factorizations, ties to the first (the
-    lexicographically smallest); more than MAX_SEARCH_PARTITIONS are refused."""
+    lexicographically smallest); more than MAX_SEARCH_PARTITIONS multisets,
+    or MAX_SEARCH_FACTORS factors in all, are refused."""
     if not 1 <= kappa <= pf.omega - 1:
         raise DomainError(f"kappa must be in [1, {pf.omega - 1}], got {kappa}")
-    multisets = _factorizations(pf.n, pf.omega - kappa)
-    best = max(itertools.islice(multisets, MAX_SEARCH_PARTITIONS),
+    level = pf.omega - kappa
+    limit = min(MAX_SEARCH_PARTITIONS, MAX_SEARCH_FACTORS // level)
+    multisets = _factorizations(pf.n, level)
+    best = max(itertools.islice(multisets, limit),
                key=lambda factors: math.prod(a - 1 for a in factors))
     if next(multisets, None) is not None:
         raise DomainError(f"exhaustive search of n={pf.n} at kappa={kappa} meets more "
-                          f"than {MAX_SEARCH_PARTITIONS} factor multisets, above the limit")
+                          f"than {limit} multisets of {level} factors, above the limit")
     return FactorSet(pf.n, best, kappa=kappa)
 
 

@@ -282,12 +282,23 @@ def _check_chi_size(kind: str, members: int, n: int) -> None:
             f"above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
 
 
-def _build_flat_family(kind: str, fs: FactorSet, cfg: WaveformConfig) -> Family:
-    _check_chi_size(kind, fs.family_size, cfg.n_seq)
+def _kept_members(kind: str, size: int, count: int | None, n: int) -> int:
+    """How many leading members of a family of ``size`` to build: all, or
+    ``count`` in [1, size]; their chi is checked before any row exists."""
+    if count is not None and not 1 <= count <= size:
+        raise DomainError(f"count must be in [1, {size}] for this {kind} family")
+    kept = size if count is None else count
+    _check_chi_size(kind, kept, n)
+    return kept
+
+
+def _build_flat_family(kind: str, fs: FactorSet, cfg: WaveformConfig,
+                       count: int | None) -> Family:
+    kept = _kept_members(kind, fs.family_size, count, cfg.n_seq)
     factors = fs.sorted_descending()
     nus = _nu_vectors(factors)
     return Family(
-        sequences=[CaSequence(row, cfg) for row in _phase_rows(factors, nus, cfg)],
+        sequences=[CaSequence(row, cfg) for row in _phase_rows(factors, nus[:kept], cfg)],
         kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(len(factors), cfg),
         family_csd=fs.family_csd,
@@ -298,12 +309,12 @@ def _build_flat_family(kind: str, fs: FactorSet, cfg: WaveformConfig) -> Family:
 
 def _build_hat_family(kind: str, decomp: Decomposition,
                       factor_sets: list[FactorSet], cfg: WaveformConfig,
-                      kappa: int) -> Family:
+                      kappa: int, kept: int) -> Family:
     per_part_factors = [fs.sorted_descending() for fs in factor_sets]
     # member i takes the i-th index vector of every part
     chosen = [[list(v) for v in nu_set] for nu_set in zip(*map(_nu_vectors, per_part_factors))]
     return Family(
-        sequences=_hat_members(decomp.parts, per_part_factors, chosen, cfg),
+        sequences=_hat_members(decomp.parts, per_part_factors, chosen[:kept], cfg),
         kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(decomp.min_omega - kappa, cfg),
         family_csd=None,
@@ -342,21 +353,16 @@ def build_family(kind: str, cfg: WaveformConfig, kappa: int = 0,
         return build_pn_family(cfg, count, min_csd)
     if min_csd is not None:
         raise DomainError(f"min_csd applies to the zc and pn baselines, not {kind}")
-    fam = _build_structured_family(kind, cfg, kappa, decomp)
-    if count is not None:
-        if not 1 <= count <= len(fam):
-            raise DomainError(f"count must be in [1, {len(fam)}] for this {kind} family")
-        if count < len(fam):  # copies, so the kept rows do not pin the whole phase matrix
-            fam.sequences = [CaSequence(s.chi.copy(), cfg) for s in fam.sequences[:count]]
-    return fam
+    return _build_structured_family(kind, cfg, kappa, decomp, count)
 
 
 def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
-                             decomp: Decomposition | None) -> Family:
-    """The full flat or concatenated family of the given kind."""
+                             decomp: Decomposition | None, count: int | None) -> Family:
+    """The flat or concatenated family of the given kind, only its leading
+    ``count`` members built when count is given."""
     n = cfg.n_seq
     if kind == "pma":
-        return _build_flat_family(kind, factorlab.factor_set(n), cfg)
+        return _build_flat_family(kind, factorlab.factor_set(n), cfg, count)
 
     if kind in ("dpma", "near_dpma"):
         pf = prime_factorize(n)
@@ -365,7 +371,7 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
         if not 1 <= kappa <= pf.omega - 1:
             raise DomainError(f"kappa must be in [1, {pf.omega - 1}]")
         mode = "near" if kind == "near_dpma" else "proper"
-        return _build_flat_family(kind, factorlab.factor_set(n, kappa, mode), cfg)
+        return _build_flat_family(kind, factorlab.factor_set(n, kappa, mode), cfg, count)
 
     # the concatenated kinds, HAT_KINDS
     augmented = kind in ("apma", "adpma")
@@ -387,18 +393,21 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
             f"{kind} needs kappa in [1, {decomp.min_omega - 1}] for parts "
             f"{decomp.parts}, got {kappa}")
     factor_sets = [factorlab.factor_set(p, kappa) for p in decomp.parts]
-    # member i takes the i-th index vector of every part; augmenting doubles them
-    _check_chi_size(kind, min(fs.family_size for fs in factor_sets) * (1 + augmented), n)
+    # member i takes the i-th index vector of every part; augmenting appends
+    # a rotated copy of each, after all of them
+    size = min(fs.family_size for fs in factor_sets)
+    kept = _kept_members(kind, size * (1 + augmented), count, n)
     base_kind = "hat_dpma" if kappa else "hat_pma"
-    fam = _build_hat_family(base_kind, decomp, factor_sets, cfg, kappa)
+    fam = _build_hat_family(base_kind, decomp, factor_sets, cfg, kappa, min(kept, size))
     if augmented:
-        fam = augment_family(fam)
+        fam = augment_family(fam, rotated=kept - len(fam))
         fam.kind = kind
     return fam
 
 
-def augment_family(base: Family) -> Family:
-    """Double a concatenated family by appending per-part phase-rotated copies.
+def augment_family(base: Family, rotated: int | None = None) -> Family:
+    """Double a concatenated family by appending per-part phase-rotated copies
+    of its index vectors, or of only the first ``rotated`` of them.
 
     The rotation phases solve the closure condition over the part lengths,
     so each rotated copy is orthogonal to its original; all cross pairs are
@@ -412,14 +421,15 @@ def augment_family(base: Family) -> Family:
     # reproduces the rotated members bit for bit
     theta_deg = [math.degrees(t) for t in sol.theta]
     theta = [math.radians(d) for d in theta_deg]
-    rotated = _hat_members(parts, base.meta["factor_sets"], base.meta["nu_vectors"],
-                           base.cfg, rotation=theta)
+    nu_sets = base.meta["nu_vectors"][:rotated]
+    copies = _hat_members(parts, base.meta["factor_sets"], nu_sets, base.cfg,
+                          rotation=theta) if nu_sets else []
     new_kind = "apma" if base.kind == "hat_pma" else "adpma"
     meta = dict(base.meta)
     meta["theta_degrees"] = theta_deg
     meta["rotation_residual"] = sol.residual
     return Family(
-        sequences=list(base.sequences) + rotated, kind=new_kind, cfg=base.cfg,
+        sequences=list(base.sequences) + copies, kind=new_kind, cfg=base.cfg,
         sd_order_bound=base.sd_order_bound, family_csd=None, meta=meta)
 
 

@@ -260,6 +260,9 @@ def test_oversized_chi_exits_2_with_one_line(tmp_path):
     out = tmp_path / "big.json"
     _assert_exits_2_with_one_line(["build", "--n", "8209", "--kind", "pma", "--out", str(out)])
     assert not out.exists()
+    # its leading 10 members take 1.3 MB and are built
+    assert run(["build", "--n", "8209", "--kind", "pma", "--count", "10", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["size"] == 10
 
 
 @pytest.mark.parametrize("cmd", ["build", "simulate"])

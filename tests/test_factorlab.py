@@ -1,6 +1,5 @@
 import math
 import random
-import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,12 +38,10 @@ class TestPrimeFactorize:
             with pytest.raises(DomainError):
                 fl.prime_factorize(bad)
 
-    def test_trial_division_stops_at_its_bound(self):
+    def test_trial_division_stops_at_its_bound(self, monkeypatch):
         # a 17-digit prime has no factor up to the bound and is above its square
-        start = time.perf_counter()
         with pytest.raises(DomainError, match="trial division"):
             fl.prime_factorize(10000000000000061)
-        assert time.perf_counter() - start < 1.0
         bound = fl.TRIAL_DIVISION_BOUND
         assert fl.prime_factorize(2 ** 60).primes == (2,) * 60
         assert fl.prime_factorize(1000000000039).primes == (1000000000039,)  # below bound**2
@@ -54,6 +51,16 @@ class TestPrimeFactorize:
             fl.prime_factorize(1048583 ** 2)  # both factors above the bound
         primorial = math.prod(_first_primes(15))
         assert fl.prime_factorize(primorial).primes == tuple(_first_primes(15))
+        # the bound, not the size of n, decides: at a bound of 1000 the next trial
+        # divisor is 1001, so a cofactor below 1001**2 is settled as prime and
+        # a larger one without a factor up to 1000 is refused
+        monkeypatch.setattr(fl, "TRIAL_DIVISION_BOUND", 1000)
+        assert fl.prime_factorize(4 * 1000003).primes == (2, 2, 1000003)
+        assert fl.prime_factorize(997 * 1009).primes == (997, 1009)
+        with pytest.raises(DomainError, match="no prime factor up to 1000"):
+            fl.prime_factorize(4 * 1002017)
+        with pytest.raises(DomainError, match="trial division"):
+            fl.prime_factorize(1009 * 1013)
 
     def test_product_reconstructs(self):
         for n in range(2, 500):
@@ -381,6 +388,31 @@ class TestFactorizations:
         # 62 distinct primes at level 31: refused from the divisor count, unwalked
         with pytest.raises(DomainError, match="limit"):
             next(fl._factorizations(math.prod(_first_primes(62)), 31))
+
+    def test_factor_budget_bounds_deep_searches(self, monkeypatch):
+        # every search the Stirling count allowed fits the budget: at kappa = 1
+        # and level L there are up to C(L + 1, 2) multisets (L = 315 is the largest)
+        assert max(level * math.comb(level + 1, 2) for level in range(1, 400)
+                   if math.comb(level + 1, 2) <= fl.MAX_SEARCH_PARTITIONS) \
+            <= fl.MAX_SEARCH_FACTORS
+        # 2^60 at level 30: 5604 multisets of 30 factors, answered exactly at the budget
+        pf = fl.prime_factorize(2 ** 60)
+        monkeypatch.setattr(fl, "MAX_SEARCH_FACTORS", 30 * 5604)
+        assert fl.exclusive_search_proper(pf, 30).factors == (4,) * 30
+        monkeypatch.setattr(fl, "MAX_SEARCH_FACTORS", 30 * 5604 - 1)
+        with pytest.raises(DomainError, match="more than 5603 multisets of 30 factors"):
+            fl.exclusive_search_proper(pf, 30)
+
+    def test_deep_prime_powers_refused_unwalked(self):
+        # 2^(L + kappa) at level L has one multiset per partition of kappa into at
+        # most L parts: p(41) = 44583 is within the limit, p(42) = 53174 is not
+        assert sum(1 for _ in fl._factorizations(2 ** 82, 41)) == 44583
+        # the refusal comes before the first multiset, whatever the depth
+        for exponent, kappa in [(84, 42), (3000, 1500), (3000, 2000)]:
+            with pytest.raises(DomainError, match="limit"):
+                next(fl._factorizations(2 ** exponent, exponent - kappa))
+            with pytest.raises(DomainError, match="limit"):
+                fl.exclusive_search_proper(fl.prime_factorize(2 ** exponent), kappa)
 
 
 @lru_cache(maxsize=None)

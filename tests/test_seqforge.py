@@ -170,7 +170,8 @@ class TestFamilies:
         fam = sf.build_family(kind, cfg_b139, count=1)
         assert full.sequences[0].chi.base is not None  # rows of one phase matrix
         for kept, ref in zip(fam.sequences, full.sequences):
-            assert kept.chi.base is None and kept.chi.nbytes == 139 * 16
+            held = kept.chi if kept.chi.base is None else kept.chi.base
+            assert held.nbytes == 139 * 16  # only the kept row was built
             assert np.array_equal(kept.chi, ref.chi)
         assert fam.meta == full.meta
 
@@ -500,7 +501,12 @@ class TestBaselines:
     ("hat_pma", 10, {"decomp": (50, 45, 44)}),  # part family sizes 16, 16 and 10
     ("apma", 20, {"decomp": (50, 45, 44)}),  # augmenting doubles the hat members
     ("zc", 10, {"count": 10, "min_csd": 13}),
-], ids=["pma139", "hat_pma139", "apma139", "zc139"])
+    # a count builds, and is checked for, only the leading members
+    ("pma", 3, {"count": 3}),
+    ("apma", 4, {"decomp": (50, 45, 44), "count": 4}),  # hat members only
+    ("apma", 13, {"decomp": (50, 45, 44), "count": 13}),  # 10 hat and 3 rotated
+], ids=["pma139", "hat_pma139", "apma139", "zc139", "pma139_count3", "apma139_count4",
+        "apma139_count13"])
 @pytest.mark.parametrize("refused", [False, True], ids=["at_limit", "byte_below"])
 def test_chi_limit_counts_sixteen_bytes_per_entry(monkeypatch, cfg_b139, kind, members, kwargs,
                                                   refused):
@@ -514,7 +520,13 @@ def test_chi_limit_counts_sixteen_bytes_per_entry(monkeypatch, cfg_b139, kind, m
         with pytest.raises(DomainError, match="GiB of chi"):
             sf.build_family(kind, cfg_b139, **kwargs)
     else:
-        assert len(sf.build_family(kind, cfg_b139, **kwargs)) == members
+        fam = sf.build_family(kind, cfg_b139, **kwargs)
+        assert len(fam) == members
+        if kind in ("pma", "apma") and "count" in kwargs:  # the leading members of the full family
+            monkeypatch.setattr(sf, "MAX_DENSE_TABLE_BYTES", 2 ** 30)
+            full = sf.build_family(kind, cfg_b139, **{**kwargs, "count": None})
+            assert np.array_equal(fam.q_matrix(), full.q_matrix()[:members])
+            assert fam.meta == full.meta
 
 
 def _round_trip(fam, include_sequences=False):
