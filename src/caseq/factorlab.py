@@ -469,12 +469,17 @@ def mpo_value(n: int) -> int:
 
     Single-part sums are allowed, so the result is at least omega(n).
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    t = prime_factorize(n).omega
-    while _split(n, t + 1, cap=n, min_parts=1) is not None:
-        t += 1
-    return t
+    return mpo_decompose(n).mpo
+
+
+def _top_split(n: int, top: int, cap: int, min_parts: int) -> tuple[int, tuple[int, ...] | None]:
+    """The highest level t <= top with a _split, and its parts, (0, None) if none: a split
+    at t is one at every lower t, and the high levels admit few values and fail fast."""
+    for t in range(top, 0, -1):
+        parts = _split(n, t, cap, min_parts)
+        if parts is not None:
+            return t, parts
+    return 0, None
 
 
 @lru_cache(maxsize=8)
@@ -528,15 +533,14 @@ def mpo_decompose(n: int, require_restriction_a: bool = False) -> Decomposition:
     no such witness exists at the top level, the best compliant lower
     level is returned (Decomposition.at_mpo is then False).
     """
-    best_t = mpo_value(n)
-    if not require_restriction_a:
-        return Decomposition(n, _split(n, best_t, cap=n, min_parts=1), mpo=best_t)
-    for t in range(best_t, 0, -1):
-        parts = _split(n, t, cap=(n - 1) // 2, min_parts=3)
-        if parts is not None:
-            return Decomposition(n, parts, mpo=best_t)
-    raise InfeasibleError(
-        f"no decomposition of {n} with >= 3 parts below {n}/2 at any level")
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
+    best_t, parts = _top_split(n, n.bit_length() - 1, n, 1)  # omega(v <= n) <= log2 n
+    if require_restriction_a:
+        parts = _top_split(n, best_t, (n - 1) // 2, 3)[1]
+    if parts is None:
+        raise InfeasibleError(f"no decomposition of {n} with >= 3 parts below {n}/2 at any level")
+    return Decomposition(n, parts, mpo=best_t)
 
 
 def available_with_min_csd(fs: FactorSet, min_csd: int) -> int:

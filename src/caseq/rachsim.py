@@ -231,7 +231,7 @@ def _recipe_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
     """
     factors, nus = family.meta["factor_set"], family.meta["nu_vectors"]
     nu = np.array([nus[p] for p in pick])
-    rows = np.array([family.sequences[p].chi for p in pick])
+    rows = family.chi_matrix()[pick]
     rebuilt = _phase_rows(factors, nu, family.cfg)
     if rows.shape != rebuilt.shape or not np.abs(rows - rebuilt).max() <= 1e-12:
         raise DomainError(f"{family.kind} family rows do not match the recipe in its meta")
@@ -266,7 +266,7 @@ def _leakage_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
         raise DomainError(
             f"{j} {family.kind} sequences need {need / 2 ** 30:.1f} GiB of dense leakage "
             f"tables, above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
-    return _dense_tables(family.q_matrix()[pick], profile, delta_f_hz)
+    return _dense_tables(family.sequences[pick].q, profile, delta_f_hz)
 
 
 def _variances(tables: _LeakageTables, powers: Sequence[float]) -> tuple[np.ndarray, float]:

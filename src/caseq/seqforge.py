@@ -34,7 +34,6 @@ FAMILY_KINDS = (
     "pma", "dpma", "near_dpma", "hat_pma", "hat_dpma", "apma", "adpma", "zc", "pn",
 )
 HAT_KINDS = ("hat_pma", "hat_dpma", "apma", "adpma")
-ORTHOGONAL_KINDS = ("pma", "dpma", "near_dpma", "hat_pma", "hat_dpma", "apma", "adpma")
 
 #: Most bytes one dense table may take: the simulator's leakage tables (L x J^2
 #: complex entries and a J x J index), the verifier's complex Gram, every
@@ -96,27 +95,33 @@ def _unit_phases(numerators: np.ndarray, denominator: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CaSequence:
-    """A length-N unit-modulus frequency-domain sequence; the recipe that
-    built a family member lives in its Family.meta."""
+    """A length-N unit-modulus frequency-domain sequence, or a J x N stack of them (a
+    family's members, seq[i] being member i); their recipe lives in Family.meta."""
 
     chi: np.ndarray
     cfg: WaveformConfig
 
+    def __len__(self) -> int:
+        return len(self.chi)
+
+    def __getitem__(self, rows) -> CaSequence:
+        return CaSequence(self.chi[rows], self.cfg)
+
     @property
     def n(self) -> int:
-        return len(self.chi)
+        return self.chi.shape[-1]
 
     @property
     def q(self) -> np.ndarray:
-        """Transmitted vector N^(-1/2) (-1)^(n*gamma) chi[n]."""
+        """Transmitted vector N^(-1/2) (-1)^(n*gamma) chi[n], per row of a stack."""
         return _signs(self.n, self.cfg.gamma) * self.chi / math.sqrt(self.n)
 
 
 @dataclass
 class Family:
-    """A set of same-length sequences built by one construction."""
+    """A set of same-length sequences built by one construction, as one stack."""
 
-    sequences: list[CaSequence]
+    sequences: CaSequence
     kind: str
     cfg: WaveformConfig
     sd_order_bound: int
@@ -131,16 +136,12 @@ class Family:
         return self.cfg.n_seq
 
     def chi_matrix(self) -> np.ndarray:
-        """Member chi vectors stacked as rows (len(family) x N)."""
-        return np.vstack([s.chi for s in self.sequences])
+        """Member chi as rows (len(family) x N): the stored stack, not a copy."""
+        return self.sequences.chi
 
     def q_matrix(self) -> np.ndarray:
-        """Member q vectors stacked as rows (len(family) x N): the same
-        operations as CaSequence.q, in place on the stacked chi."""
-        q = self.chi_matrix()
-        q *= _signs(self.n, self.cfg.gamma)
-        q /= math.sqrt(self.n)
-        return q
+        """Member q vectors as rows (len(family) x N), a new array."""
+        return self.sequences.q
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,8 @@ class RotationSolution:
     """Per-part rotation phases closing the part-length vectors to zero."""
 
     theta: tuple[float, ...]
-    radius_estimate: float
     arc_angles: tuple[float, ...]
     residual: float
-    epsilon: float
 
 
 def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]], cfg: WaveformConfig,
@@ -208,9 +207,9 @@ def build_i_sequence(factors: Sequence[int], nu: Sequence[int],
 
 def _hat_members(parts: Sequence[int], factor_sets: Sequence[Sequence[int]],
                  nu_sets: Sequence[Sequence[Sequence[int]]], cfg: WaveformConfig,
-                 rotation: Sequence[float] | None = None) -> list[CaSequence]:
-    """Concatenations of per-part phase-assigned subsequences, one member per
-    entry of nu_sets (one index vector per part).  Part rho is built like
+                 rotation: Sequence[float] | None = None) -> np.ndarray:
+    """chi of concatenations of per-part phase-assigned subsequences, one row
+    per entry of nu_sets (one index vector per part).  Part rho is built like
     build_g_sequence over its descending factor set, as one block of columns
     of a single phase matrix, times exp(1j*rotation[rho]) when rotated; the
     sign in q uses the absolute index across the concatenation."""
@@ -220,7 +219,7 @@ def _hat_members(parts: Sequence[int], factor_sets: Sequence[Sequence[int]],
     for rho, factors in enumerate(factor_sets):
         block = _phase_rows(factors, [s[rho] for s in nu_sets], cfg)
         blocks.append(block if rotation is None else block * np.exp(1j * rotation[rho]))
-    return [CaSequence(row, cfg) for row in np.concatenate(blocks, axis=1)]
+    return np.concatenate(blocks, axis=1)
 
 
 def _nu_vectors(factors: Sequence[int]) -> list[tuple[int, ...]]:
@@ -228,12 +227,11 @@ def _nu_vectors(factors: Sequence[int]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(1, a) for a in factors)))
 
 
-def solve_rotation(parts: Sequence[int], epsilon: float = 1e-9,
-                   max_iter: int = 200) -> RotationSolution:
+def solve_rotation(parts: Sequence[int]) -> RotationSolution:
     """Rotation phases making the part-length vectors sum to zero.
 
-    Bisection on the first arc angle of the circumscribed circle of the
-    polygon with the part lengths as edges; feasible exactly when there
+    Bisection to 1e-9 on the first arc angle of the circumscribed circle of
+    the polygon with the part lengths as edges; feasible exactly when there
     are at least 3 parts and no part reaches half the perimeter.
     """
     parts = tuple(parts)
@@ -246,7 +244,7 @@ def solve_rotation(parts: Sequence[int], epsilon: float = 1e-9,
             f"max part below half the total")
     theta_lo, theta_hi = 0.0, 2.0 * math.pi
     arcs = None
-    for _ in range(max_iter):
+    for _ in range(200):
         theta_mid = 0.5 * (theta_lo + theta_hi)
         radius = parts[0] / (2.0 * math.sin(theta_mid / 2.0))
         arcs = [theta_mid]
@@ -254,19 +252,19 @@ def solve_rotation(parts: Sequence[int], epsilon: float = 1e-9,
             arg = 1.0 - p * p / (2.0 * radius * radius)
             arcs.append(math.acos(max(-1.0, min(1.0, arg))))
         gap = sum(arcs) - 2.0 * math.pi
-        if abs(gap) <= epsilon:
+        if abs(gap) <= 1e-9:
             break
         if gap < 0:
             theta_lo = theta_mid
         else:
             theta_hi = theta_mid
     else:
-        raise InfeasibleError(f"rotation bisection did not reach {epsilon}")
+        raise InfeasibleError("rotation bisection did not reach 1e-9")
     theta = [0.0]
     for rho in range(1, len(parts)):
         theta.append(theta[-1] + 0.5 * (arcs[rho - 1] + arcs[rho]))
     residual = abs(sum(p * np.exp(1j * t) for p, t in zip(parts, theta)))
-    return RotationSolution(tuple(theta), radius, tuple(arcs), float(residual), epsilon)
+    return RotationSolution(tuple(theta), tuple(arcs), float(residual))
 
 
 def _sd_bound(level: int, cfg: WaveformConfig) -> int:
@@ -298,7 +296,7 @@ def _build_flat_family(kind: str, fs: FactorSet, cfg: WaveformConfig,
     factors = fs.sorted_descending()
     nus = _nu_vectors(factors)
     return Family(
-        sequences=[CaSequence(row, cfg) for row in _phase_rows(factors, nus[:kept], cfg)],
+        sequences=CaSequence(_phase_rows(factors, nus[:kept], cfg), cfg),
         kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(len(factors), cfg),
         family_csd=fs.family_csd,
@@ -314,7 +312,8 @@ def _build_hat_family(kind: str, decomp: Decomposition,
     # member i takes the i-th index vector of every part
     chosen = [[list(v) for v in nu_set] for nu_set in zip(*map(_nu_vectors, per_part_factors))]
     return Family(
-        sequences=_hat_members(decomp.parts, per_part_factors, chosen[:kept], cfg),
+        sequences=CaSequence(_hat_members(decomp.parts, per_part_factors, chosen[:kept], cfg),
+                             cfg),
         kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(decomp.min_omega - kappa, cfg),
         family_csd=None,
@@ -399,10 +398,7 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
     kept = _kept_members(kind, size * (1 + augmented), count, n)
     base_kind = "hat_dpma" if kappa else "hat_pma"
     fam = _build_hat_family(base_kind, decomp, factor_sets, cfg, kappa, min(kept, size))
-    if augmented:
-        fam = augment_family(fam, rotated=kept - len(fam))
-        fam.kind = kind
-    return fam
+    return augment_family(fam, rotated=kept - len(fam)) if augmented else fam
 
 
 def augment_family(base: Family, rotated: int | None = None) -> Family:
@@ -416,20 +412,21 @@ def augment_family(base: Family, rotated: int | None = None) -> Family:
     if base.kind not in ("hat_pma", "hat_dpma"):
         raise DomainError(f"can only augment hat families, got {base.kind!r}")
     parts = tuple(base.meta["decomposition"])
-    sol = solve_rotation(parts, epsilon=1e-9)
+    sol = solve_rotation(parts)
     # the phases come from the exported degrees, so theta_degrees alone
     # reproduces the rotated members bit for bit
     theta_deg = [math.degrees(t) for t in sol.theta]
     theta = [math.radians(d) for d in theta_deg]
     nu_sets = base.meta["nu_vectors"][:rotated]
     copies = _hat_members(parts, base.meta["factor_sets"], nu_sets, base.cfg,
-                          rotation=theta) if nu_sets else []
+                          rotation=theta) if nu_sets else np.empty((0, base.n))
     new_kind = "apma" if base.kind == "hat_pma" else "adpma"
     meta = dict(base.meta)
     meta["theta_degrees"] = theta_deg
     meta["rotation_residual"] = sol.residual
     return Family(
-        sequences=list(base.sequences) + copies, kind=new_kind, cfg=base.cfg,
+        sequences=CaSequence(np.concatenate([base.chi_matrix(), copies]), base.cfg),
+        kind=new_kind, cfg=base.cfg,
         sd_order_bound=base.sd_order_bound, family_csd=None, meta=meta)
 
 
@@ -489,28 +486,30 @@ def build_multiroot_zc_family(cfg: WaveformConfig, count: int, min_csd: int,
     used = [{"root": root, "cyclic_shift": k * min_csd}
             for root in roots for k in range(per_root)][:count]
     bases = {m["root"]: build_zc_sequence(m["root"], n, cfg).chi for m in used}
-    seqs = [CaSequence(bases[m["root"]] * _unit_phases(np.arange(n) * m["cyclic_shift"], n), cfg)
-            for m in used]
-    return Family(sequences=seqs, kind="zc", cfg=cfg, sd_order_bound=0,
+    shifts = np.outer([m["cyclic_shift"] for m in used], np.arange(n)) % n  # phases by s n mod N
+    chi = np.array([bases[m["root"]] for m in used]) * _unit_phases(np.arange(n), n)[shifts]
+    return Family(sequences=CaSequence(chi, cfg), kind="zc", cfg=cfg, sd_order_bound=0,
                   family_csd=min_csd,
                   meta={"roots": list(roots), "min_csd": min_csd, "members": used})
 
 
-@functools.cache
-def m_sequence(register_len: int = 15, taps: tuple[int, ...] = (15, 14)) -> np.ndarray:
-    """Maximal-length LFSR bit sequence, period 2**register_len - 1.
+#: Taps of the pn register X^15 + X^14 + 1: the delayed outputs XOR-ed into
+#: its input, 1-indexed; the first is the register length.
+PN_TAPS = (15, 14)
 
-    taps give the delayed outputs XOR-ed into the input, 1-indexed;
-    the register starts all-ones.  Computed once per (register_len, taps)
-    and returned read-only, as every caller shares the array.
+
+@functools.cache
+def m_sequence() -> np.ndarray:
+    """Maximal-length LFSR bit sequence of the PN_TAPS register, period
+    2**PN_TAPS[0] - 1, from the all-ones state.  Computed once and returned
+    read-only, as every caller shares the array.
     """
-    period = (1 << register_len) - 1
-    state = [1] * register_len
-    bits = np.empty(period, dtype=np.int8)
-    for i in range(period):
+    state = [1] * PN_TAPS[0]
+    bits = np.empty((1 << PN_TAPS[0]) - 1, dtype=np.int8)
+    for i in range(len(bits)):
         bits[i] = state[-1]
         fb = 0
-        for t in taps:
+        for t in PN_TAPS:
             fb ^= state[t - 1]
         state = [fb] + state[:-1]
     bits.flags.writeable = False
@@ -520,11 +519,11 @@ def m_sequence(register_len: int = 15, taps: tuple[int, ...] = (15, 14)) -> np.n
 def build_pn_family(cfg: WaveformConfig, count: int, min_csd: int) -> Family:
     """BPSK m-sequence baseline: members are offsets of one long register run.
 
-    The register polynomial is X^15 + X^14 + 1; member k starts at offset
-    k*min_csd into the period-32767 bit stream and is truncated to N.
+    The register is PN_TAPS; member k starts at offset k*min_csd into the
+    period-32767 bit stream and is truncated to N.
     """
     n = cfg.n_seq
-    period = (1 << 15) - 1
+    period = (1 << PN_TAPS[0]) - 1
     if n > period:
         raise DomainError(f"sequence length {n} exceeds the register period {period}")
     if count * min_csd > period:
@@ -534,9 +533,9 @@ def build_pn_family(cfg: WaveformConfig, count: int, min_csd: int) -> Family:
     bits = m_sequence()[(np.arange(count)[:, None] * min_csd + np.arange(n)) % period]
     rows = (1.0 - 2.0 * bits).astype(np.complex128)
     rows *= _signs(n, cfg.gamma)
-    return Family(sequences=[CaSequence(row, cfg) for row in rows], kind="pn", cfg=cfg,
+    return Family(sequences=CaSequence(rows, cfg), kind="pn", cfg=cfg,
                   sd_order_bound=0, family_csd=min_csd,
-                  meta={"min_csd": min_csd, "taps": [15, 14]})
+                  meta={"min_csd": min_csd, "taps": list(PN_TAPS)})
 
 
 def family_to_dict(family: Family, include_sequences: bool = False) -> dict:
@@ -556,10 +555,8 @@ def family_to_dict(family: Family, include_sequences: bool = False) -> dict:
         if key in family.meta:
             out[key] = family.meta[key]
     if include_sequences:
-        out["sequences"] = [
-            [[float(c.real), float(c.imag)] for c in seq.chi]
-            for seq in family.sequences
-        ]
+        chi = family.chi_matrix()
+        out["sequences"] = np.stack([chi.real, chi.imag], -1).tolist()
     return out
 
 

@@ -68,7 +68,7 @@ def _moments(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int) -> np.ndarray:
     if cfg.condition == "B":
         ag = cfg.alpha_gamma
         frac = (np.arange(n, dtype=np.int64) * ag.numerator) % ag.denominator
-        powers = np.vstack([powers, powers * np.exp(-2j * np.pi * (frac / ag.denominator))])
+        powers = np.concatenate([powers, powers * np.exp(-2j * np.pi * (frac / ag.denominator))])
     return (chi @ powers.T).reshape(len(chi), -1, beta_cap + 1)
 
 
@@ -87,8 +87,8 @@ def sd_orders(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int):
 
 
 def gram_matrix(family: Family) -> np.ndarray:
-    q = family.q_matrix()
-    return q.conj() @ q.T
+    chi = family.chi_matrix()  # conj(q_i) q_k = conj(chi_i) chi_k / N: the signs cancel
+    return chi.conj() @ chi.T / family.n
 
 
 def max_offdiag(gram: np.ndarray) -> float:
@@ -98,9 +98,9 @@ def max_offdiag(gram: np.ndarray) -> float:
 
 
 def check_family(family: Family, beta_cap: int = DEFAULT_BETA_CAP) -> VerifyReport:
-    """Every check over all members at once, the Gram first so that one J x N
-    matrix is held at a time; the reported order is the family minimum.  A
-    Gram above MAX_DENSE_TABLE_BYTES is refused before anything is allocated."""
+    """Every check over all members at once on the family's own chi stack, beside
+    which one conjugate copy and the Gram are held; the order is the family
+    minimum.  A Gram above MAX_DENSE_TABLE_BYTES is refused before any allocation."""
     _check_beta_cap(beta_cap)
     need = 16 * len(family) ** 2
     if need > MAX_DENSE_TABLE_BYTES:

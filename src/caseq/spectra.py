@@ -212,12 +212,11 @@ def out_of_band_fraction(family: Family, bandwidths: list[float],
     cfg, n, pulse_t = family.cfg, family.n, family.cfg.pulse_duration
     u = (0.5 * (n - 1) - np.arange(n)) * cfg.gamma  # band center minus x_n
     half = np.array(bandwidths)[:, None] * (cfg.gamma * n / 2.0)
-    weights = np.vstack([np.repeat([pulse_t, 0.0, np.pi], n),
-                         _band_weights(u - half, u + half, pulse_t)])
+    weights = [np.repeat([pulse_t, 0.0, np.pi], n), *_band_weights(u - half, u + half, pulse_t)]
     fracs = np.zeros(len(bandwidths))
     rows = max(1, 2 ** 14 // n)
     for lo in range(0, len(family), rows):
-        terms = _energy_terms(np.array([s.chi for s in family.sequences[lo:lo + rows]]), cfg)
+        terms = _energy_terms(family.chi_matrix()[lo:lo + rows], cfg)
         # pairwise sums: a BLAS product's running sums cost 10 ulp at N = 839
         total, *inside = [np.sum(terms * w, axis=-1) for w in weights]
         fracs += np.sum((total - np.array(inside)) / total, axis=1)

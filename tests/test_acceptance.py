@@ -136,7 +136,7 @@ def test_criterion_2_concatenated_table_reproduction():
 
 def test_criterion_3_rotation_solver():
     for parts, ref_deg in ROTATION_CASES:
-        sol = sf.solve_rotation(parts, epsilon=1e-9)
+        sol = sf.solve_rotation(parts)
         for got, ref in zip(sol.theta, ref_deg):
             assert abs(math.degrees(got) - ref) <= 0.05, (parts, ref)
         assert sol.residual <= 1e-6 * sum(parts), parts

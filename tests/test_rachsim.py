@@ -453,9 +453,9 @@ class TestLeakageTables:
 
     def test_rows_that_disagree_with_the_recipe_refused(self, cfg_b139):
         fam = sf.build_family("pma", cfg_b139)
-        rows = list(fam.sequences)
+        rows = np.arange(len(fam))
         rows[3], rows[7] = rows[7], rows[3]
-        swapped = dataclasses.replace(fam, sequences=rows)
+        swapped = dataclasses.replace(fam, sequences=fam.sequences[rows])
         cfg = rc.RaSimConfig(family=swapped, snr_db_list=[0.0], trials=10, seed=1,
                              profile=rc.ChannelProfile.flat_fading(), p_fa_target=1e-2)
         with pytest.raises(DomainError, match="recipe"):

@@ -9,6 +9,8 @@ import pytest
 
 from caseq import factorlab as fl
 from caseq import seqforge as sf
+from caseq import seqverify as sv
+from caseq import spectra as sp
 from caseq.factorlab import DomainError, InfeasibleError
 
 
@@ -106,14 +108,14 @@ class TestRotation:
         ((468, 440, 243), (0.0, 149.15, 248.20)),
     ])
     def test_reference_angles(self, parts, ref_deg):
-        sol = sf.solve_rotation(parts, 1e-9)
+        sol = sf.solve_rotation(parts)
         for got, ref in zip(sol.theta, ref_deg):
             assert abs(math.degrees(got) - ref) < 0.05
         assert sol.residual <= 1e-6 * sum(parts)
         assert abs(sum(sol.arc_angles) - 2 * math.pi) <= 1e-9
 
     def test_equilateral(self):
-        sol = sf.solve_rotation((1, 1, 1), 1e-9)
+        sol = sf.solve_rotation((1, 1, 1))
         assert np.allclose([math.degrees(t) for t in sol.theta],
                            [0.0, 120.0, 240.0], atol=1e-6)
 
@@ -163,6 +165,19 @@ class TestFamilies:
         q = aug.q_matrix()
         gram = q.conj() @ q.T
         assert np.abs(gram - np.eye(len(aug))).max() < 1e-9
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("pma", {}), ("apma", {}), ("zc", {"count": 10, "min_csd": 13}),
+        ("pn", {"count": 4, "min_csd": 13}),
+    ])
+    def test_members_are_rows_of_the_stored_stack(self, cfg_b139, kind, kw):
+        fam = sf.build_family(kind, cfg_b139, **kw)
+        chi = fam.chi_matrix()
+        assert chi is fam.sequences.chi and chi.shape == (len(fam), 139)
+        assert np.shares_memory(chi, fam.sequences[0].chi)
+        members = list(fam.sequences)
+        assert len(members) == len(fam)
+        assert all(m.chi.tobytes() == row.tobytes() for m, row in zip(members, chi))
 
     @pytest.mark.parametrize("kind", ["pma", "apma"])
     def test_count_keeps_only_its_own_rows(self, cfg_b139, kind):
@@ -341,11 +356,11 @@ class TestMatrixBuildBitIdentical:
         assert len(fam) == len(members)
         for seq, chi in zip(fam.sequences, members):
             assert seq.chi.tobytes() == chi.tobytes()
-        oracle = dataclasses.replace(fam, meta=meta, sequences=[
-            sf.CaSequence(chi, cfg) for chi in members])
+        oracle = dataclasses.replace(fam, meta=meta,
+                                     sequences=sf.CaSequence(np.array(members), cfg))
         assert (sf.family_to_dict(fam, include_sequences=True)
                 == sf.family_to_dict(oracle, include_sequences=True))
-        # q_matrix scales chi_matrix in place, so the members must stay untouched
+        # q_matrix reads the stored chi stack, so the members must stay untouched
         assert fam.q_matrix().tobytes() == np.vstack([s.q for s in fam.sequences]).tobytes()
         assert all(seq.chi.tobytes() == chi.tobytes()
                    for seq, chi in zip(fam.sequences, members))
@@ -597,6 +612,20 @@ class TestFamilyJson:
         assert len(back) == 2 and len(back.meta["nu_vectors"]) == len(fam) // 2
         counted = sf.build_family("apma", cfg_b139, decomp=decomp, count=2)
         assert sf.family_to_dict(counted) == sf.family_to_dict(cut)
+
+    def test_cut_family_is_verified_and_measured(self, cfg_b139):
+        # the benchmark's smoke path: a family cut to two members with
+        # dataclasses.replace goes through the verifier and eta like a counted one
+        decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
+        fam = sf.build_family("apma", cfg_b139, decomp=decomp)
+        cut = dataclasses.replace(fam, sequences=fam.sequences[:2])
+        counted = sf.build_family("apma", cfg_b139, decomp=decomp, count=2)
+        rep = sv.check_family(cut)
+        assert rep.size == 2 and rep.gram_max_offdiag < 1e-12
+        assert rep.to_dict() == sv.check_family(counted).to_dict()
+        rows = sp.out_of_band_fraction(cut, [0.5, 1.0, 2.0])
+        assert rows == sp.out_of_band_fraction(counted, [0.5, 1.0, 2.0])
+        assert all(-150.0 < eta < 0.0 for _, eta in rows)
 
     @pytest.mark.parametrize("count", [0, 3])
     def test_count_out_of_range(self, cfg_a48, count):

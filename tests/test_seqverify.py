@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -129,12 +130,24 @@ class TestCheckFamily:
 
     def test_collinear_members_flagged(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
-        seq = fam.sequences[0]
-        negated = CaSequence(-seq.chi, cfg_a48)
-        mixed = sf.Family(sequences=[seq, negated], kind="pma", cfg=cfg_a48,
-                          sd_order_bound=0)
+        chi = fam.sequences[0].chi
+        mixed = sf.Family(sequences=CaSequence(np.array([chi, -chi]), cfg_a48), kind="pma",
+                          cfg=cfg_a48, sd_order_bound=0)
         rep = sv.check_family(mixed)
         assert abs(rep.gram_max_offdiag - 1.0) < 1e-12
+
+    def test_peak_memory_below_two_and_a_half_stacks(self, cfg_b839):
+        """check_family reads the family's own chi stack and holds beside it
+        at most one conjugate copy and the J x J Gram (11.2 MB each at pma839),
+        so its traced peak stays below 2.5 J x N complex blocks (26.8 MiB)."""
+        fam = sf.build_family("pma", cfg_b839)
+        tracemalloc.start()
+        try:
+            sv.check_family(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16 * len(fam) * fam.n
 
     def test_multiroot_zc_offdiag_level(self, cfg_b139):
         fam = sf.build_family("zc", cfg_b139, count=8, min_csd=34)
@@ -230,8 +243,7 @@ def _mixed_family():
     seqs = sf.build_family("pma", _A48).sequences
     bend = np.zeros(48)
     bend[19:22] = (1e-2, -2e-2, 1e-2)  # kills no moment below beta = 2
-    members = [seqs[0], CaSequence(2.0 * seqs[1].chi, _A48),
-               CaSequence(seqs[0].chi + bend, _A48)]
+    members = CaSequence(np.array([seqs[0].chi, 2.0 * seqs[1].chi, seqs[0].chi + bend]), _A48)
     return sf.Family(sequences=members, kind="pma", cfg=_A48, sd_order_bound=0)
 
 

@@ -44,8 +44,8 @@ def _assert_single_tone_eta(cfg):
     """eta of |T sinc(fT)|^2 outside [y1, y2] in y = fT units is
     1 - (S(y2) - S(y1)), S(y) = (Si(2 pi y) - sin^2(pi y) / (pi y)) / pi;
     the tone sits on subcarrier 0; span 16, 2^14 points, within 0.02 dB."""
-    fam = sf.Family(sequences=[_single_subcarrier(cfg)], kind="tone",
-                    cfg=cfg, sd_order_bound=0)
+    tone = CaSequence(_single_subcarrier(cfg).chi[np.newaxis], cfg)
+    fam = sf.Family(sequences=tone, kind="tone", cfg=cfg, sd_order_bound=0)
     bandwidths = [1.0, 2.0, 4.0, 8.0]
     rows = sp.out_of_band_fraction(fam, bandwidths, grid_span=16,
                                    grid_points=2 ** 14)
@@ -430,8 +430,9 @@ class TestClosedFormEta:
         reported at the floor; the benchmark's rows (apma139, zc139) lie at
         least 40 dB above it."""
         bandwidths = [1.0, 2.0, 4.0, 8.0]
-        seq = sf.build_family("pma", cfg_a48).sequences[0]
-        one = sf.Family(sequences=[seq], kind="pma", cfg=cfg_a48, sd_order_bound=0)
+        first = sf.build_family("pma", cfg_a48).sequences[:1]
+        seq = first[0]
+        one = sf.Family(sequences=first, kind="pma", cfg=cfg_a48, sd_order_bound=0)
         got = [10 ** (eta / 10) for _, eta in sp.out_of_band_fraction(one, bandwidths)]
         assert np.max(np.abs(np.array(got) - _eta_40_digits(seq, bandwidths))) <= 1e-15
         for fam in _benchmark_eta_families(cfg_b139):
