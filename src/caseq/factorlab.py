@@ -1,11 +1,9 @@
 """Number-theoretic engine behind the sequence-family constructions.
 
-Provides prime factorization, the family-size ratio f, proper and
-near-proper coarse factorizations at degeneracy level kappa, integer
-partition and fixed-weight codeword enumeration, the codeword conversion
-that turns weight patterns into prime groupings, additive decompositions
-maximizing the minimum prime-omega over parts, and the count of sequences
-available under a minimum cyclic-shifting-distance restriction.
+Provides prime factorization, proper and near-proper coarse factorizations
+at degeneracy level kappa, additive decompositions maximizing the minimum
+prime-omega over parts, and the count of sequences available under a
+minimum cyclic-shifting-distance restriction.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -25,10 +22,6 @@ class DomainError(ValueError):
 
 class InfeasibleError(ValueError):
     """A mathematically infeasible request (no solution exists)."""
-
-
-# A weight pattern: non-increasing positive ints, one entry per factor group.
-OmegaPattern = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -152,20 +145,6 @@ def _prime_factorize_cached(n: int) -> PrimeFactorization:
     return PrimeFactorization(n, tuple(primes))
 
 
-def omega(n: int) -> int:
-    """Prime factor count of n with multiplicity."""
-    return prime_factorize(n).omega
-
-
-def size_ratio(factors: Sequence[int]) -> Fraction:
-    """Exact family-size ratio (prod(a) - 1) / prod(a - 1) for entries > 1."""
-    if not factors:
-        raise DomainError("empty factor tuple")
-    if any(a <= 1 for a in factors):
-        raise DomainError(f"all entries must exceed 1, got {tuple(factors)}")
-    return Fraction(math.prod(factors) - 1, math.prod(a - 1 for a in factors))
-
-
 def proper_factorization_kappa1(pf: PrimeFactorization) -> FactorSet:
     """Level-(omega-1) factorization of largest family size.
 
@@ -199,110 +178,6 @@ def _merge_two_levels(factors: Sequence[int]) -> tuple[int, ...]:
     else:
         merged = [a[0] * a[3], a[1] * a[2]] + a[4:]
     return tuple(sorted(merged))
-
-
-def integer_partitions(total: int, parts: int) -> list[OmegaPattern]:
-    """All non-increasing positive patterns of fixed length summing to total.
-
-    Ordered lexicographically descending, e.g. (5, 3) -> [(3,1,1), (2,2,1)].
-    Returns [] when parts > total; raises on nonpositive arguments.
-    """
-    if total < 1 or parts < 1:
-        raise DomainError("total and parts must be positive")
-    out: list[OmegaPattern] = []
-
-    def rec(remaining: int, slots: int, cap: int, prefix: tuple[int, ...]):
-        if slots == 0:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        # each of the remaining slots holds at least 1
-        hi = min(cap, remaining - (slots - 1))
-        lo = -(-remaining // slots)  # ceil: keep non-increasing feasible
-        for v in range(hi, lo - 1, -1):
-            rec(remaining - v, slots - 1, v, prefix + (v,))
-
-    rec(total, parts, total, ())
-    return out
-
-
-def gosper_enumerate(length: int, weight: int) -> Iterator[int]:
-    """Yield all ``length``-bit integers of Hamming weight ``weight`` ascending.
-
-    Classic carry-propagation bit trick; bit i of a yielded value marks
-    position i of the codeword.  length is capped at 62 bits.
-    """
-    if length > 62:
-        raise DomainError(f"codeword length {length} exceeds the 62-bit cap")
-    if weight <= 0 or weight > length:
-        raise DomainError(f"need 0 < weight <= length, got ({length}, {weight})")
-    x = (1 << weight) - 1
-    limit = 1 << length
-    while x < limit:
-        yield x
-        c = x & -x
-        r = x + c
-        x = (((r ^ x) >> 2) // c) | r
-
-
-def bits_of(codeword: int, length: int) -> tuple[int, ...]:
-    """Expand an integer codeword to its bit tuple (index m = bit m)."""
-    return tuple((codeword >> m) & 1 for m in range(length))
-
-
-def codeword_conversion(codewords: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Expand nested short codewords to full-length ones over all positions.
-
-    Codeword 0 claims positions of the full index set directly; codeword
-    n claims among the positions left unclaimed by codewords 0..n-1, in
-    order.  Inputs therefore shrink: len(codeword n) equals the number of
-    positions still free before it.  Outputs all have the full length,
-    keep their input weights, and partition the position set.
-    """
-    if not codewords:
-        raise DomainError("no codewords given")
-    full = len(codewords[0])
-    free = list(range(full))
-    out: list[tuple[int, ...]] = []
-    for cw in codewords:
-        if len(cw) != len(free):
-            raise DomainError(
-                f"codeword of length {len(cw)} does not match {len(free)} free positions"
-            )
-        expanded = [0] * full
-        taken = []
-        for pos, bit in zip(free, cw):
-            if bit:
-                expanded[pos] = 1
-                taken.append(pos)
-        out.append(tuple(expanded))
-        free = [p for p in free if p not in taken]
-    if free:
-        raise DomainError(f"codewords leave positions {free} unclaimed")
-    return out
-
-
-def pattern_codeword_sets(pattern: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All codeword sets realizing a weight pattern over sum(pattern) positions.
-
-    For pattern entry w_m, the m-th codeword has length equal to the tail
-    sum of the pattern from m on, and weight w_m; the product of binomial
-    coefficients counts the sets yielded.
-    """
-    tail = [sum(pattern[m:]) for m in range(len(pattern))]
-
-    def rec(m: int, prefix: tuple[tuple[int, ...], ...]):
-        if m == len(pattern):
-            yield prefix
-            return
-        if tail[m] == pattern[m]:
-            # forced all-ones codeword
-            yield from rec(m + 1, prefix + ((1,) * pattern[m],))
-            return
-        for cw in gosper_enumerate(tail[m], pattern[m]):
-            yield from rec(m + 1, prefix + (bits_of(cw, tail[m]),))
-
-    yield from rec(0, ())
 
 
 #: Most factor multisets (multiplicative partitions of n) one search may visit.

@@ -36,9 +36,9 @@ FAMILY_KINDS = (
 HAT_KINDS = ("hat_pma", "hat_dpma", "apma", "adpma")
 
 #: Most bytes one dense table may take: the simulator's leakage tables (L x J^2
-#: complex entries and a J x J index), the verifier's complex Gram, every
-#: family's J x N chi and a spectrum's grid arrays.  Larger ones are refused
-#: before anything is allocated.
+#: complex entries and a J x J index), the verifier's J^2 complex Gram entries
+#: (walked in row blocks), every family's J x N chi and a spectrum's grid
+#: arrays.  Larger ones are refused before anything is allocated.
 MAX_DENSE_TABLE_BYTES = 2 ** 30
 
 
@@ -91,6 +91,15 @@ def _unit_phases(numerators: np.ndarray, denominator: int) -> np.ndarray:
     """
     frac = np.mod(numerators, denominator)
     return np.exp(2j * np.pi * (frac / denominator))
+
+
+def _roots_of_unity(denominator: int) -> np.ndarray:
+    """_unit_phases(arange(D), D) bit for bit, built in place so that the
+    table is the only D-sized complex array alive."""
+    frac = np.arange(denominator, dtype=np.float64)
+    frac /= denominator
+    roots = np.multiply(2j * np.pi, frac)
+    return np.exp(roots, out=roots)
 
 
 @dataclass(frozen=True)
@@ -155,9 +164,15 @@ class RotationSolution:
 
 def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]], cfg: WaveformConfig,
                 weights: Sequence[int] | None = None) -> np.ndarray:
-    """chi of every index vector in nus as the rows of one matrix, with the
-    phases of build_g_sequence over digit weights (default phi_m) kept as
-    integer numerators over one common denominator until the exp call."""
+    """chi of every index vector in nus as the rows of one matrix.
+
+    Index n decomposes in the mixed radix over the factors with digit weights
+    (default phi_0 = 1, phi_m = prod(factors[:m])); digit m contributes phase
+    2*pi*nu_m*l_m/A_m, and under a fractional alpha*gamma the odd digits add
+    2*pi*alpha*gamma*l_m*phi_m.  The phases stay integer numerators k over one
+    common denominator D: chi is roots_D[k mod D], gathered from one table of
+    the D-th roots of unity when D is at most the number of entries, and the
+    exp of each entry otherwise."""
     if weights is None:
         weights = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
     nu = np.array(nus)
@@ -173,44 +188,25 @@ def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]], cfg: Wavef
     twist = [ag.numerator * (denom // ag.denominator) * w if twisted and m % 2 else 0
              for m, w in enumerate(weights)]
     coef = nu.astype(np.int64) * [denom // a for a in factors] + twist
+    roots = _roots_of_unity(denom) if denom <= len(nus) * len(n_index) else None
     chi = np.empty((len(nus), len(n_index)), dtype=complex)
     rows = max(1, 2 ** 16 // len(n_index))  # keeps each block's transients near 1 MiB
     for lo in range(0, len(nus), rows):
-        chi[lo:lo + rows] = _unit_phases(coef[lo:lo + rows] @ digits, denom)
+        numer = coef[lo:lo + rows] @ digits
+        if roots is None:
+            chi[lo:lo + rows] = _unit_phases(numer, denom)
+        else:
+            # the indices lie in [0, D) already, so "clip" only skips the bounds check
+            np.take(roots, np.mod(numer, denom, out=numer), out=chi[lo:lo + rows], mode="clip")
     return chi
-
-
-def build_g_sequence(factors: Sequence[int], nu: Sequence[int],
-                     cfg: WaveformConfig) -> CaSequence:
-    """Phase-assigned sequence over descending factors of N.
-
-    Index n decomposes in the mixed radix with digit weights
-    phi_0 = 1, phi_m = prod(factors[:m]); digit m contributes phase
-    2*pi*nu_m*l_m/A_m, and under a fractional alpha*gamma the odd digits
-    add 2*pi*alpha*gamma*l_m*phi_m.
-    """
-    if list(factors) != sorted(factors, reverse=True) or math.prod(factors) != cfg.n_seq:
-        raise DomainError(f"factors must be sorted descending and multiply to {cfg.n_seq}")
-    return CaSequence(_phase_rows(factors, [nu], cfg)[0], cfg)
-
-
-def build_i_sequence(factors: Sequence[int], nu: Sequence[int],
-                     cfg: WaveformConfig) -> CaSequence:
-    """Companion construction over ascending factors with reversed weights
-    psi_m = N / prod(factors[:m+1]), psi_last = 1."""
-    n = cfg.n_seq
-    if list(factors) != sorted(factors) or math.prod(factors) != n:
-        raise DomainError(f"factors must be sorted ascending and multiply to {n}")
-    weights = [n // math.prod(factors[:m + 1]) for m in range(len(factors))]
-    return CaSequence(_phase_rows(factors, [nu], cfg, weights)[0], cfg)
 
 
 def _hat_members(parts: Sequence[int], factor_sets: Sequence[Sequence[int]],
                  nu_sets: Sequence[Sequence[Sequence[int]]], cfg: WaveformConfig,
                  rotation: Sequence[float] | None = None) -> np.ndarray:
     """chi of concatenations of per-part phase-assigned subsequences, one row
-    per entry of nu_sets (one index vector per part).  Part rho is built like
-    build_g_sequence over its descending factor set, as one block of columns
+    per entry of nu_sets (one index vector per part).  Part rho is built by
+    _phase_rows over its descending factor set, as one block of columns
     of a single phase matrix, times exp(1j*rotation[rho]) when rotated; the
     sign in q uses the absolute index across the concatenation."""
     if sum(parts) != cfg.n_seq:
@@ -430,26 +426,6 @@ def augment_family(base: Family, rotated: int | None = None) -> Family:
         sd_order_bound=base.sd_order_bound, family_csd=None, meta=meta)
 
 
-def cs_subfamily(family: Family, index: int) -> list[tuple[int, CaSequence]]:
-    """Cyclic-shift subfamily of member index of a flat phase-assigned family,
-    as (shift, member) pairs.
-
-    With A the largest factor and nu_0 the member's leading index, the
-    admissible shifts are l*N/A for l in 0..A-1 except l = A - nu_0;
-    shifting by k multiplies q[n] by exp(2j*pi*n*k/N), which lands on the
-    member whose leading index is (nu_0 + l) mod A.
-    """
-    if "factor_set" not in family.meta:
-        raise DomainError(f"cyclic-shift subfamilies need a flat family, not {family.kind}")
-    if not 0 <= index < len(family):
-        raise DomainError(f"member index must be in [0, {len(family) - 1}], got {index}")
-    n, a = family.n, family.meta["factor_set"][0]
-    step, v0 = n // a, family.meta["nu_vectors"][index][0]
-    chi = family.sequences[index].chi
-    return [(k, CaSequence(chi * _unit_phases(np.arange(n) * k, n), family.cfg))
-            for k in range(0, n, step) if k != (a - v0) * step]
-
-
 def build_zc_sequence(root: int, n: int, cfg: WaveformConfig | None = None) -> CaSequence:
     """Zadoff-Chu sequence of the given root, as a transmitted baseline.
 
@@ -487,7 +463,7 @@ def build_multiroot_zc_family(cfg: WaveformConfig, count: int, min_csd: int,
             for root in roots for k in range(per_root)][:count]
     bases = {m["root"]: build_zc_sequence(m["root"], n, cfg).chi for m in used}
     shifts = np.outer([m["cyclic_shift"] for m in used], np.arange(n)) % n  # phases by s n mod N
-    chi = np.array([bases[m["root"]] for m in used]) * _unit_phases(np.arange(n), n)[shifts]
+    chi = np.array([bases[m["root"]] for m in used]) * _roots_of_unity(n)[shifts]
     return Family(sequences=CaSequence(chi, cfg), kind="zc", cfg=cfg, sd_order_bound=0,
                   family_csd=min_csd,
                   meta={"roots": list(roots), "min_csd": min_csd, "members": used})

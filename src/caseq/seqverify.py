@@ -3,9 +3,10 @@
 Everything here re-derives properties from the raw sequence values:
 constant amplitude, zero periodic autocorrelation of the inverse DFT,
 pairwise orthogonality, and the sidelobe-decay order measured as the
-number of leading vanishing index-power moments.  Each check takes the
-J x N member matrix at once: ifft(|chi|^2) by one rfft per row, all moments by
-one product chi @ P^T with P[beta, n] = n^beta.  amplitude_checks and
+number of leading vanishing index-power moments.  Each check takes rows of
+the J x N member matrix in bulk: ifft(|chi|^2) by one rfft per row, all moments
+by one product chi @ P^T with P[beta, n] = n^beta, and the Gram in row blocks
+over its upper triangle.  amplitude_checks and
 sd_orders return per-row results, which check_family reduces to one report.
 For unit-modulus chi a moment's rounding error is at most about
 N u sum n^beta (u = 2^-53), five orders under MOMENT_RTOL at N <= 1151.
@@ -86,9 +87,11 @@ def sd_orders(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int):
     return orders, capped, mags[np.arange(len(mags)), np.minimum(orders, beta_cap)]
 
 
-def gram_matrix(family: Family) -> np.ndarray:
+def gram_matrix(family: Family, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo:hi of the Gram against the members from lo on: G[lo + i, lo + k];
+    the defaults give the full J x J Gram."""
     chi = family.chi_matrix()  # conj(q_i) q_k = conj(chi_i) chi_k / N: the signs cancel
-    return chi.conj() @ chi.T / family.n
+    return chi[lo:hi].conj() @ chi[lo:].T / family.n
 
 
 def max_offdiag(gram: np.ndarray) -> float:
@@ -98,18 +101,23 @@ def max_offdiag(gram: np.ndarray) -> float:
 
 
 def check_family(family: Family, beta_cap: int = DEFAULT_BETA_CAP) -> VerifyReport:
-    """Every check over all members at once on the family's own chi stack, beside
-    which one conjugate copy and the Gram are held; the order is the family
-    minimum.  A Gram above MAX_DENSE_TABLE_BYTES is refused before any allocation."""
+    """Every check over all members on the family's own chi stack, in blocks of
+    about 2^16 Gram entries: each block's Gram rows run against the members from
+    its first row on, so every pair i < k is met once and no J x J Gram is held.
+    The order is the family minimum.  More than MAX_DENSE_TABLE_BYTES / 16 pairs
+    (J^2, one complex entry each) are refused before any block is formed."""
     _check_beta_cap(beta_cap)
-    need = 16 * len(family) ** 2
-    if need > MAX_DENSE_TABLE_BYTES:
+    j = len(family)
+    if 16 * j ** 2 > MAX_DENSE_TABLE_BYTES:
         raise DomainError(
-            f"{len(family)} {family.kind} sequences need a {need / 2 ** 30:.1f} GiB Gram "
-            f"matrix, above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
-    gram = max_offdiag(gram_matrix(family)) if len(family) > 1 else None
+            f"{j} {family.kind} sequences make {j ** 2} pairs, above the limit of "
+            f"{MAX_DENSE_TABLE_BYTES // 16} ({MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB "
+            f"of complex Gram entries)")
     chi = family.chi_matrix()
-    ca, zac = amplitude_checks(chi)
+    rows = max(1, 2 ** 16 // j)  # as in seqforge._phase_rows: transients near 1 MiB
+    blocks = [(lo, lo + rows) for lo in range(0, j, rows)]
+    gram = max(max_offdiag(gram_matrix(family, lo, hi)) for lo, hi in blocks) if j > 1 else None
+    ca, zac = map(np.concatenate, zip(*(amplitude_checks(chi[lo:hi]) for lo, hi in blocks)))
     orders, capped, _ = sd_orders(chi, family.cfg, beta_cap)
     return VerifyReport(
         ca_max_dev=float(ca.max()),
@@ -118,6 +126,6 @@ def check_family(family: Family, beta_cap: int = DEFAULT_BETA_CAP) -> VerifyRepo
         measured_sd_order=int(orders.min()),
         sd_order_capped=bool(capped.any()),
         condition=family.cfg.condition,
-        size=len(family),
+        size=j,
         tolerances={"moment_rtol": MOMENT_RTOL, "beta_cap": beta_cap},
     )

@@ -8,6 +8,8 @@ import pytest
 from caseq import factorlab as fl
 from caseq.factorlab import DomainError, InfeasibleError
 
+import paper_oracle as po
+
 
 def brute_force_size_ratio(factors):
     """Direct evaluation of (prod - 1) / prod(a - 1), kept independent."""
@@ -71,27 +73,27 @@ class TestPrimeFactorize:
 
 class TestSizeRatio:
     def test_pair_of_twos(self):
-        assert fl.size_ratio([2, 2]) == Fraction(3, 1)
+        assert po.size_ratio([2, 2]) == Fraction(3, 1)
 
     def test_no_monotonicity_across_unordered_tuples(self):
-        assert fl.size_ratio([2, 5, 5]) == Fraction(49, 16)
-        assert fl.size_ratio([2, 2, 11]) == Fraction(43, 10)
-        assert not fl.size_ratio([2, 5, 5]) >= fl.size_ratio([2, 2, 11])
+        assert po.size_ratio([2, 5, 5]) == Fraction(49, 16)
+        assert po.size_ratio([2, 2, 11]) == Fraction(43, 10)
+        assert not po.size_ratio([2, 5, 5]) >= po.size_ratio([2, 2, 11])
 
     def test_three_four_four(self):
-        assert fl.size_ratio([3, 4, 4]) == Fraction(47, 18)
+        assert po.size_ratio([3, 4, 4]) == Fraction(47, 18)
 
     def test_matches_direct_formula(self):
         rng = random.Random(7)
         for _ in range(200):
             tup = [rng.randint(2, 30) for _ in range(rng.randint(1, 5))]
-            assert fl.size_ratio(tup) == brute_force_size_ratio(tup)
+            assert po.size_ratio(tup) == brute_force_size_ratio(tup)
 
     def test_rejects_entries_at_or_below_one(self):
         with pytest.raises(DomainError):
-            fl.size_ratio([2, 1])
+            po.size_ratio([2, 1])
         with pytest.raises(DomainError):
-            fl.size_ratio([])
+            po.size_ratio([])
 
 
 class TestClosedFormFactorizations:
@@ -130,16 +132,16 @@ class TestClosedFormFactorizations:
 
 class TestIntegerPartitions:
     def test_example_five_three(self):
-        assert fl.integer_partitions(5, 3) == [(3, 1, 1), (2, 2, 1)]
+        assert po.integer_partitions(5, 3) == [(3, 1, 1), (2, 2, 1)]
 
     def test_all_ones(self):
-        assert fl.integer_partitions(4, 4) == [(1, 1, 1, 1)]
+        assert po.integer_partitions(4, 4) == [(1, 1, 1, 1)]
 
     def test_six_three(self):
-        assert fl.integer_partitions(6, 3) == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
+        assert po.integer_partitions(6, 3) == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
 
     def test_more_parts_than_total(self):
-        assert fl.integer_partitions(3, 5) == []
+        assert po.integer_partitions(3, 5) == []
 
     def test_against_exhaustive_enumeration(self):
         # oracle: filter all tuples with entries in 1..total
@@ -153,7 +155,7 @@ class TestIntegerPartitions:
 
         for total in range(1, 9):
             for parts in range(1, total + 1):
-                got = fl.integer_partitions(total, parts)
+                got = po.integer_partitions(total, parts)
                 assert sorted(got, reverse=True) == sorted(oracle(total, parts),
                                                            reverse=True)
                 assert got == sorted(got, reverse=True)  # descending-lex order
@@ -161,12 +163,12 @@ class TestIntegerPartitions:
 
 class TestGosper:
     def test_three_choose_two(self):
-        assert list(fl.gosper_enumerate(3, 2)) == [0b011, 0b101, 0b110]
+        assert list(po.gosper_enumerate(3, 2)) == [0b011, 0b101, 0b110]
 
     def test_counts_match_binomials(self):
         for n in range(1, 13):
             for k in range(1, n + 1):
-                values = list(fl.gosper_enumerate(n, k))
+                values = list(po.gosper_enumerate(n, k))
                 assert len(values) == math.comb(n, k)
                 assert len(set(values)) == len(values)
                 assert values == sorted(values)
@@ -174,33 +176,33 @@ class TestGosper:
 
     def test_width_cap(self):
         with pytest.raises(DomainError):
-            next(fl.gosper_enumerate(63, 2))
+            next(po.gosper_enumerate(63, 2))
 
     def test_weight_exceeds_length(self):
         with pytest.raises(DomainError):
-            next(fl.gosper_enumerate(3, 4))
+            next(po.gosper_enumerate(3, 4))
 
     def test_pattern_codeword_sets_count(self):
-        sets = list(fl.pattern_codeword_sets((3, 2, 1)))
+        sets = list(po.pattern_codeword_sets((3, 2, 1)))
         assert len(sets) == math.comb(6, 3) * math.comb(3, 2) * math.comb(1, 1)
         assert len(set(sets)) == len(sets)
 
 
 class TestCodewordConversion:
     def test_worked_example(self):
-        out = fl.codeword_conversion([(0, 1, 0, 1, 1, 0), (0, 1, 1), (1,)])
+        out = po.codeword_conversion([(0, 1, 0, 1, 1, 0), (0, 1, 1), (1,)])
         assert out == [(0, 1, 0, 1, 1, 0), (0, 0, 1, 0, 0, 1), (1, 0, 0, 0, 0, 0)]
 
     def test_single_codeword_identity(self):
-        assert fl.codeword_conversion([(1, 1, 1)]) == [(1, 1, 1)]
+        assert po.codeword_conversion([(1, 1, 1)]) == [(1, 1, 1)]
 
     def test_two_group_trace(self):
-        assert fl.codeword_conversion([(1, 0), (1,)]) == [(1, 0), (0, 1)]
+        assert po.codeword_conversion([(1, 0), (1,)]) == [(1, 0), (0, 1)]
 
     def test_outputs_partition_positions(self):
-        for pattern in fl.integer_partitions(6, 3):
-            for cwset in fl.pattern_codeword_sets(pattern):
-                full = fl.codeword_conversion(cwset)
+        for pattern in po.integer_partitions(6, 3):
+            for cwset in po.pattern_codeword_sets(pattern):
+                full = po.codeword_conversion(cwset)
                 assert all(len(cw) == 6 for cw in full)
                 assert [sum(cw) for cw in full] == list(pattern)
                 total = [sum(bits) for bits in zip(*full)]
@@ -208,7 +210,7 @@ class TestCodewordConversion:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            fl.codeword_conversion([(1, 0, 0), (1, 1, 1)])
+            po.codeword_conversion([(1, 0, 0), (1, 1, 1)])
 
 
 class TestExclusiveSearch:
@@ -296,9 +298,9 @@ def _oracle_factor_multisets(pf, level):
     """Oracle: the paper's enumeration run afresh for one n, with weight
     patterns, codeword sets and codeword conversion over its own primes."""
     found = set()
-    for pattern in fl.integer_partitions(pf.omega, level):
-        for cwset in fl.pattern_codeword_sets(pattern):
-            full = fl.codeword_conversion(cwset)
+    for pattern in po.integer_partitions(pf.omega, level):
+        for cwset in po.pattern_codeword_sets(pattern):
+            full = po.codeword_conversion(cwset)
             found.add(tuple(sorted(
                 math.prod(p for p, bit in zip(pf.primes, cw) if bit) for cw in full)))
     return found
@@ -350,7 +352,7 @@ class TestFactorizations:
                     == _stirling2_recurrence(omega, level))
             # one prime: the integer partitions of the exponent into level parts
             assert (sum(1 for _ in fl._factorizations(2 ** omega, level))
-                    == len(fl.integer_partitions(omega, level)))
+                    == len(po.integer_partitions(omega, level)))
         assert list(fl._factorizations(squarefree, omega + 1)) == []
 
     def test_oversized_search_refused_and_prime_powers_answered(self):
@@ -364,7 +366,7 @@ class TestFactorizations:
         for omega, factors, size in [(11, (4, 4, 4, 4, 8), 567), (12, (4,) * 6, 729)]:
             level = omega - 6
             candidates = sorted(tuple(sorted(2 ** a for a in part))
-                                for part in fl.integer_partitions(omega, level))
+                                for part in po.integer_partitions(omega, level))
             best = max(candidates, key=lambda f: math.prod(a - 1 for a in f))
             assert (best, math.prod(a - 1 for a in best)) == (factors, size)
             fs = fl.factor_set(2 ** omega, 6, "exhaustive")
@@ -605,23 +607,23 @@ class TestLemmas:
             m = rng.randint(1, 5)
             a = [rng.randint(2, 50) for _ in range(m)]
             b = [x + rng.randint(0, 8) for x in a]
-            fa, fb = fl.size_ratio(a), fl.size_ratio(b)
+            fa, fb = po.size_ratio(a), po.size_ratio(b)
             assert fa >= fb
             # strictness needs a second entry: a 1-tuple has ratio 1 always
             if m >= 2 and any(x < y for x, y in zip(a, b)):
                 assert fa > fb
 
     def test_single_entry_ratio_is_one(self):
-        assert fl.size_ratio([7]) == 1
-        assert fl.size_ratio([30]) == 1
+        assert po.size_ratio([7]) == 1
+        assert po.size_ratio([30]) == 1
 
     def test_pairing_order(self):
         rng = random.Random(12)
         for _ in range(1500):
             pa, pb, pc, pd = sorted(rng.randint(2, 60) for _ in range(4))
-            lhs = fl.size_ratio([pa, pd]) * fl.size_ratio([pb, pc])
-            mid = fl.size_ratio([pa, pc]) * fl.size_ratio([pb, pd])
-            rhs = fl.size_ratio([pa, pb]) * fl.size_ratio([pc, pd])
+            lhs = po.size_ratio([pa, pd]) * po.size_ratio([pb, pc])
+            mid = po.size_ratio([pa, pc]) * po.size_ratio([pb, pd])
+            rhs = po.size_ratio([pa, pb]) * po.size_ratio([pc, pd])
             assert lhs >= mid >= rhs
 
     def test_triple_merge_dominates_when_product_small(self):
@@ -632,6 +634,6 @@ class TestLemmas:
             pd = rng.randint(pb * pc, pb * pc + 40)
             if pd < pc:
                 continue
-            assert (fl.size_ratio([pa, pb, pc])
-                    >= fl.size_ratio([pa, pd]) * fl.size_ratio([pb, pc]))
+            assert (po.size_ratio([pa, pb, pc])
+                    >= po.size_ratio([pa, pd]) * po.size_ratio([pb, pc]))
             checked += 1

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from caseq import seqforge as sf
 from caseq import seqverify as sv
 from caseq import spectra as sp
 from caseq.factorlab import DomainError, InfeasibleError
+
+import paper_oracle as po
 
 
 def inner(a, b):
@@ -36,7 +39,7 @@ class TestWaveformConfig:
 class TestGSequence:
     def test_hand_computed_n6(self, ):
         cfg = sf.WaveformConfig(6, gamma=2, alpha=Fraction(1, 2))
-        seq = sf.build_g_sequence((3, 2), (1, 1), cfg)
+        seq = po.build_g_sequence((3, 2), (1, 1), cfg)
         w = np.exp(2j * np.pi / 3)
         expected = np.array([1, w, w ** 2, -1, -w, -w ** 2])
         assert np.allclose(seq.chi, expected, atol=1e-12)
@@ -51,30 +54,30 @@ class TestGSequence:
 
     def test_distinct_indices_orthogonal(self):
         cfg = sf.WaveformConfig(6, gamma=2, alpha=Fraction(1, 2))
-        s1 = sf.build_g_sequence((3, 2), (1, 1), cfg)
-        s2 = sf.build_g_sequence((3, 2), (2, 1), cfg)
+        s1 = po.build_g_sequence((3, 2), (1, 1), cfg)
+        s2 = po.build_g_sequence((3, 2), (2, 1), cfg)
         assert abs(inner(s1, s2)) < 1e-12
 
     def test_unit_modulus_and_norm(self, cfg_b839):
-        seq = sf.build_g_sequence((839,), (5,), cfg_b839)
+        seq = po.build_g_sequence((839,), (5,), cfg_b839)
         assert np.max(np.abs(np.abs(seq.chi) - 1)) < 1e-12
         assert abs(np.linalg.norm(seq.q) - 1) < 1e-12
 
     def test_nu_out_of_range(self, cfg_a48):
         with pytest.raises(DomainError):
-            sf.build_g_sequence((3, 2, 2, 2, 2), (3, 1, 1, 1, 1), cfg_a48)
+            po.build_g_sequence((3, 2, 2, 2, 2), (3, 1, 1, 1, 1), cfg_a48)
         with pytest.raises(DomainError):
-            sf.build_g_sequence((3, 2, 2, 2, 2), (0, 1, 1, 1, 1), cfg_a48)
+            po.build_g_sequence((3, 2, 2, 2, 2), (0, 1, 1, 1, 1), cfg_a48)
 
     def test_factors_must_descend(self, cfg_a48):
         with pytest.raises(DomainError):
-            sf.build_g_sequence((2, 2, 2, 2, 3), (1, 1, 1, 1, 1), cfg_a48)
+            po.build_g_sequence((2, 2, 2, 2, 3), (1, 1, 1, 1, 1), cfg_a48)
 
 
 class TestISequence:
     def test_weight_layout(self):
         cfg = sf.WaveformConfig(6, gamma=2, alpha=Fraction(1, 2))
-        i = sf.build_i_sequence((2, 3), (1, 1), cfg)
+        i = po.build_i_sequence((2, 3), (1, 1), cfg)
         for l0 in range(2):
             for l1 in range(3):
                 expected = np.exp(2j * np.pi * (l0 / 2 + l1 / 3))
@@ -84,20 +87,20 @@ class TestISequence:
         # reversing the digit order (and the index vector) reproduces the
         # descending-factor construction under an integer alpha*gamma
         cfg = sf.WaveformConfig(12, gamma=2, alpha=Fraction(1, 2))
-        g = sf.build_g_sequence((3, 2, 2), (2, 1, 1), cfg)
-        i = sf.build_i_sequence((2, 2, 3), (1, 1, 2), cfg)
+        g = po.build_g_sequence((3, 2, 2), (2, 1, 1), cfg)
+        i = po.build_i_sequence((2, 2, 3), (1, 1, 2), cfg)
         assert np.allclose(i.chi, g.chi, atol=1e-12)
 
     def test_orthogonality_over_indices(self):
         cfg = sf.WaveformConfig(12, gamma=2, alpha=Fraction(1, 2))
-        seqs = [sf.build_i_sequence((2, 2, 3), nu, cfg)
+        seqs = [po.build_i_sequence((2, 2, 3), nu, cfg)
                 for nu in [(1, 1, 1), (1, 1, 2)]]
         assert abs(inner(seqs[0], seqs[1])) < 1e-12
 
     def test_ascending_required(self):
         cfg = sf.WaveformConfig(12, gamma=2, alpha=Fraction(1, 2))
         with pytest.raises(DomainError):
-            sf.build_i_sequence((3, 2, 2), (1, 1, 1), cfg)
+            po.build_i_sequence((3, 2, 2), (1, 1, 1), cfg)
 
 
 class TestRotation:
@@ -308,7 +311,7 @@ def _oracle_family(kind, cfg, kappa, decomp, count):
     sets = [list(fl.factor_set(p, kappa).sorted_descending()) for p in decomp.parts]
     chosen = [[list(v) for v in nu_set] for nu_set in zip(*map(_all_nus, sets))]
     meta = {"decomposition": list(decomp.parts), "factor_sets": sets, "kappa": kappa,
-            "nu_vectors": chosen, "no_sd_gain": fl.mpo_value(decomp.n) == fl.omega(decomp.n)}
+            "nu_vectors": chosen, "no_sd_gain": fl.mpo_value(decomp.n) == po.omega(decomp.n)}
     rotations = [None]
     if kind in ("apma", "adpma"):
         sol = sf.solve_rotation(decomp.parts)
@@ -346,6 +349,7 @@ class TestMatrixBuildBitIdentical:
         ("adpma", 139, 1, (50, 45, 44), None),
         ("adpma", 139, 1, (50, 45, 44), 37),
         ("hat_dpma", 571, 2, (225, 196, 150), None),
+        ("pma", 839, 0, None, None),  # B: D = 214784 <= J x N, phases from the root table
     ])
     def test_family_matches_member_by_member_oracle(self, cond, kind, n, kappa, parts, count):
         cfg = sf.WaveformConfig(n_seq=n, **cond)
@@ -373,10 +377,57 @@ class TestMatrixBuildBitIdentical:
         weights = [n // math.prod(factors[:m + 1]) for m in range(len(factors))]
         descending = tuple(reversed(factors))
         for nu in _all_nus(factors)[::7]:
-            seq = sf.build_i_sequence(factors, nu, cfg)
+            seq = po.build_i_sequence(factors, nu, cfg)
             assert seq.chi.tobytes() == _oracle_chi(factors, nu, weights, cfg).tobytes()
-            seq = sf.build_g_sequence(descending, nu[::-1], cfg)
+            seq = po.build_g_sequence(descending, nu[::-1], cfg)
             assert seq.chi.tobytes() == _oracle_g_chi(descending, nu[::-1], cfg).tobytes()
+
+
+def _count_calls(monkeypatch, module, *names):
+    """Wrap each named function of module so that its calls are counted."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("denom", [1, 2, 6, 839, 1280, 214784, 294656])
+    def test_table_is_exp_of_every_numerator(self, denom):
+        table = sf._roots_of_unity(denom)
+        assert table.tobytes() == sf._unit_phases(np.arange(denom), denom).tobytes()
+
+    @pytest.mark.parametrize("count, table", [(None, True), (256, True), (255, False), (10, False)])
+    def test_table_only_when_denominator_fits_the_entries(self, monkeypatch, cfg_b839,
+                                                          count, table):
+        # pma839 under B: D = lcm(839, 256) = 214784 = 256 x 839, so 256 rows take the table
+        full = sf.build_family("pma", cfg_b839).chi_matrix()
+        calls = _count_calls(monkeypatch, sf, "_roots_of_unity", "_unit_phases")
+        fam = sf.build_family("pma", cfg_b839, count=count)
+        blocks = -(-len(fam) // (2 ** 16 // 839))
+        assert calls == ({"_roots_of_unity": 1, "_unit_phases": 0} if table
+                         else {"_roots_of_unity": 0, "_unit_phases": blocks})
+        assert fam.chi_matrix().tobytes() == full[:len(fam)].tobytes()
+
+    def test_build_peak_memory_is_stack_and_table(self, cfg_b839):
+        """The pma839 build holds its J x N stack, the D-entry table and block
+        transients of about 1 MiB: at most the stack plus the table plus 2 MiB."""
+        sf.build_family("pma", cfg_b839)  # factor set and caches outside the trace
+        tracemalloc.start()
+        try:
+            fam = sf.build_family("pma", cfg_b839)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        denom = math.lcm(839, 256)
+        assert peak <= 16 * len(fam) * fam.n + 16 * denom + 2 * 2 ** 20
 
 
 def _shifted_nu(fam, index, shift):
@@ -391,14 +442,14 @@ class TestCsSubfamily:
     def test_admissible_shift_set(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
         # member 0 has nu = (1,1,1,1,1) and leading factor 3
-        shifts = [k for k, _ in sf.cs_subfamily(fam, 0)]
+        shifts = [k for k, _ in po.cs_subfamily(fam, 0)]
         assert shifts == [0, 16]  # l = 2 = 3 - nu_0 excluded
 
     def test_members_match_direct_construction(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
         for index in range(len(fam)):
-            for k, member in sf.cs_subfamily(fam, index):
-                direct = sf.build_g_sequence((3, 2, 2, 2, 2),
+            for k, member in po.cs_subfamily(fam, index):
+                direct = po.build_g_sequence((3, 2, 2, 2, 2),
                                              _shifted_nu(fam, index, k), cfg_a48)
                 assert np.max(np.abs(member.chi - direct.chi)) < 1e-12
 
@@ -407,7 +458,7 @@ class TestCsSubfamily:
         leader = fam.sequences[0]
         n = leader.n
         t_leader = np.fft.ifft(leader.q) * math.sqrt(n)
-        for k, member in sf.cs_subfamily(fam, 0):
+        for k, member in po.cs_subfamily(fam, 0):
             t_member = np.fft.ifft(member.q) * math.sqrt(n)
             assert np.allclose(t_member, np.roll(t_leader, -k), atol=1e-12)
 
@@ -419,7 +470,7 @@ class TestCsSubfamily:
             if tuple(nu[1:]) in seen:
                 continue
             seen.add(tuple(nu[1:]))
-            members = sf.cs_subfamily(fam, index)
+            members = po.cs_subfamily(fam, index)
             assert len(members) == fam.meta["factor_set"][0] - 1
             reached += [tuple(_shifted_nu(fam, index, k)) for k, _ in members]
         assert sorted(reached) == sorted(map(tuple, fam.meta["nu_vectors"]))
@@ -427,11 +478,11 @@ class TestCsSubfamily:
     @pytest.mark.parametrize("index", [-1, 2])
     def test_index_outside_family_refused(self, cfg_a48, index):
         with pytest.raises(DomainError, match="index"):
-            sf.cs_subfamily(sf.build_family("pma", cfg_a48), index)
+            po.cs_subfamily(sf.build_family("pma", cfg_a48), index)
 
     def test_concatenated_family_refused(self, cfg_b139):
         with pytest.raises(DomainError, match="flat"):
-            sf.cs_subfamily(sf.build_family("hat_pma", cfg_b139), 0)
+            po.cs_subfamily(sf.build_family("hat_pma", cfg_b139), 0)
 
 
 class TestBaselines:

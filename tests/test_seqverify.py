@@ -10,6 +10,8 @@ from caseq import seqforge as sf
 from caseq import seqverify as sv
 from caseq.seqforge import CaSequence
 
+import paper_oracle as po
+
 
 def _chi_with_time_samples(time_samples, cfg):
     """chi (as a one-row matrix) whose inverse DFT equals the given time-domain vector."""
@@ -100,7 +102,7 @@ class TestSdOrders:
     def test_cyclic_shift_preserves_order(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
         base_order = _leader_order(fam)[0]
-        shifted = np.vstack([m.chi for _, m in sf.cs_subfamily(fam, 0)])
+        shifted = np.vstack([m.chi for _, m in po.cs_subfamily(fam, 0)])
         orders, _, _ = sv.sd_orders(shifted, cfg_a48, sv.DEFAULT_BETA_CAP)
         assert orders.min() >= base_order
 
@@ -114,6 +116,17 @@ class TestSdOrders:
     def test_beta_cap_guard(self, cfg_a48):
         with pytest.raises(ValueError):
             _leader_order(sf.build_family("pma", cfg_a48), beta_cap=9)
+
+
+_B839 = sf.WaveformConfig(839, gamma=1, alpha=Fraction(33, 256))
+_GRAM_FAMILIES = {
+    "pma839": lambda: sf.build_family("pma", _B839),
+    "apma139": lambda: sf.build_family("apma", _B139, decomp=_D139),
+    "pn_two": lambda: sf.build_family("pn", sf.WaveformConfig(13), count=2, min_csd=1),
+    "near_dpma720": lambda: sf.build_family(
+        "near_dpma", sf.WaveformConfig(720, gamma=1, alpha=Fraction(33, 256)), kappa=3),
+    "pn839": lambda: sf.build_family("pn", _B839, count=64, min_csd=13),
+}
 
 
 class TestCheckFamily:
@@ -148,6 +161,57 @@ class TestCheckFamily:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 16 * len(fam) * fam.n
+
+    def test_peak_memory_below_half_a_stack(self, cfg_b839):
+        """Beside the family's own stack, check_family holds row blocks of about
+        1 MiB and no J x J Gram or J x N conjugate copy: its traced peak stays
+        below half of one J x N complex block (5.4 MiB at pma839)."""
+        fam = sf.build_family("pma", cfg_b839)
+        tracemalloc.start()
+        try:
+            sv.check_family(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 16 * len(fam) * fam.n
+
+    @pytest.mark.parametrize("name", ["pma839", "apma139", "pn_two"])
+    def test_gram_blocks_tile_rows_and_meet_each_pair_once(self, monkeypatch, name):
+        fam = _GRAM_FAMILIES[name]()
+        j, calls, blocks, gram_matrix = len(fam), [], [], sv.gram_matrix
+
+        def recorded(family, lo=0, hi=None):
+            calls.append((lo, min(j, hi)))
+            blocks.append(gram_matrix(family, lo, hi))
+            return blocks[-1]
+
+        monkeypatch.setattr(sv, "gram_matrix", recorded)
+        sv.check_family(fam)
+        rows = max(1, 2 ** 16 // j)
+        assert calls == [(lo, min(j, lo + rows)) for lo in range(0, j, rows)]
+        visits = np.zeros((j, j), dtype=int)
+        full = gram_matrix(fam)
+        for (lo, hi), block in zip(calls, blocks):
+            assert block.shape == (hi - lo, j - lo)
+            assert np.abs(block - full[lo:hi, lo:]).max() <= 1e-15
+            visits[lo:hi, lo:] += np.arange(lo, j) > np.arange(lo, hi)[:, None]
+        assert (visits == np.triu(np.ones((j, j), dtype=int), 1)).all()
+
+    def test_blocked_amplitude_checks_equal_one_call(self, cfg_b839):
+        fam = sf.build_family("pma", cfg_b839)
+        fam.chi_matrix()[-1, 5] *= 1.01  # a defect in the last row block only
+        ca, zac = sv.amplitude_checks(fam.chi_matrix())
+        rep = sv.check_family(fam)
+        assert (rep.ca_max_dev, rep.zac_max_offpeak) == (float(ca.max()), float(zac.max()))
+        assert rep.ca_max_dev > 1e-3
+
+    @pytest.mark.parametrize("name", ["pma839", "near_dpma720", "pn839"])
+    def test_blocked_maximum_matches_full_gram(self, name):
+        fam = _GRAM_FAMILIES[name]()
+        got = sv.check_family(fam).gram_max_offdiag
+        assert abs(got - sv.max_offdiag(sv.gram_matrix(fam))) <= 1e-15
+        if name == "pn839":
+            assert abs(got - 0.206) < 5e-4
 
     def test_multiroot_zc_offdiag_level(self, cfg_b139):
         fam = sf.build_family("zc", cfg_b139, count=8, min_csd=34)

