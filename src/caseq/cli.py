@@ -9,7 +9,6 @@ mathematical infeasibility.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import sys
@@ -38,12 +37,24 @@ def _write_json(path: Path, data: dict):
                     encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]):
+_CSV_BLOCK = 4096  # rows per write
+
+
+def _write_csv(path: Path, header: list[str], columns):
+    """Write equal-length columns (sequences or numpy arrays) under a header.
+
+    A float cell is written as its repr and any other cell as its str, with
+    CRLF line ends: the bytes csv.writer writes for the same rows when no
+    cell holds a comma, quote or line break.  Rows go out _CSV_BLOCK at a
+    time, each block one join over a format map, and an array column becomes
+    Python values one block at a time, so memory does not grow with the rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [c[lo:lo + _CSV_BLOCK] for c in columns]
+            block = [b.tolist() if hasattr(b, "tolist") else b for b in block]
+            line = ",".join("{!r}" if isinstance(b[0], float) else "{!s}" for b in block)
+            fh.write("".join(map((line + "\r\n").format, *block)))
 
 
 def _write_manifest(args, outputs: list[Path], record: dict | None = None):
@@ -157,8 +168,7 @@ def cmd_spectrum(args) -> int:
         slope = spectra.estimate_decay_order(spec, (args.fit_lo, args.fit_hi))
         print(f"kind={fam.kind} N={fam.n} fitted_slope={slope:.3f}")
         if out:
-            _write_csv(out, ["normalized_freq", "power_db"],
-                       spectra.spectrum_csv_rows(spec))
+            _write_csv(out, ["normalized_freq", "power_db"], spectra.spectrum_csv_rows(spec))
     else:
         bandwidths = [float(b) for b in args.bandwidths.split(",")]
         rows = spectra.out_of_band_fraction(fam, bandwidths)
@@ -166,7 +176,7 @@ def cmd_spectrum(args) -> int:
             print(f"B={b:g} eta_db={eta:.3f}")
         if out:
             _write_csv(out, ["normalized_bandwidth", "eta_db", "family_kind"],
-                       [(b, eta, fam.kind) for b, eta in rows])
+                       [*zip(*rows), [fam.kind] * len(rows)])
     _write_manifest(args, [out] if out else [])
     return 0
 
@@ -202,7 +212,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         out = Path(args.out)
         _write_csv(out, ["snr_db", "metric", "mc_value", "ci_halfwidth",
-                         "closed_form"], rachsim.result_csv_rows(result))
+                         "closed_form"], list(zip(*rachsim.result_csv_rows(result))))
         outputs.append(out)
         # which leakage tables, noise and tap sum the model ran on, and the tables' size
         echo = result.config_echo

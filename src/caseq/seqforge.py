@@ -162,19 +162,18 @@ class RotationSolution:
     residual: float
 
 
-def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]], cfg: WaveformConfig,
-                weights: Sequence[int] | None = None) -> np.ndarray:
+def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]],
+                cfg: WaveformConfig) -> np.ndarray:
     """chi of every index vector in nus as the rows of one matrix.
 
     Index n decomposes in the mixed radix over the factors with digit weights
-    (default phi_0 = 1, phi_m = prod(factors[:m])); digit m contributes phase
+    phi_0 = 1, phi_m = prod(factors[:m]); digit m contributes phase
     2*pi*nu_m*l_m/A_m, and under a fractional alpha*gamma the odd digits add
     2*pi*alpha*gamma*l_m*phi_m.  The phases stay integer numerators k over one
     common denominator D: chi is roots_D[k mod D], gathered from one table of
     the D-th roots of unity when D is at most the number of entries, and the
     exp of each entry otherwise."""
-    if weights is None:
-        weights = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
+    weights = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
     nu = np.array(nus)
     if (nu.dtype.kind not in "iu" or nu.shape != (len(nus), len(factors))
             or not ((nu >= 1) & (nu < np.array(factors))).all()):

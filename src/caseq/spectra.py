@@ -224,7 +224,7 @@ def out_of_band_fraction(family: Family, bandwidths: list[float],
             for b, f in zip(bandwidths, fracs)]
 
 
-def spectrum_csv_rows(spec: SpectrumResult) -> list[tuple[float, float]]:
-    """(normalized_freq, power_db) rows; zero-power points are floored."""
-    floor = np.maximum(spec.power, 1e-300)
-    return list(zip(spec.freqs.tolist(), (10.0 * np.log10(floor)).tolist()))
+def spectrum_csv_rows(spec: SpectrumResult) -> tuple[np.ndarray, np.ndarray]:
+    """The CSV's (normalized_freq, power_db) columns, as arrays; zero-power
+    points are floored."""
+    return spec.freqs, 10.0 * np.log10(np.maximum(spec.power, 1e-300))

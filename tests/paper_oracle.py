@@ -4,8 +4,8 @@ oracles: the pipeline in caseq no longer calls them.
 From factorlab's side: the prime-factor count, the family-size ratio f, the
 integer partitions of Omega(n) into weight patterns, fixed-weight codeword
 enumeration, and the codeword conversion that turns weight patterns into
-prime groupings.  From seqforge's side: the G and I single sequences (one-row
-calls of the family builder's phase helper) and cyclic-shift subfamilies.
+prime groupings.  From seqforge's side: the G and I single sequences, each
+built on its own from its digit phases, and cyclic-shift subfamilies.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from caseq.factorlab import DomainError, prime_factorize
-from caseq.seqforge import CaSequence, Family, WaveformConfig, _phase_rows, _unit_phases
+from caseq.seqforge import CaSequence, Family, WaveformConfig
 
 # A weight pattern: non-increasing positive ints, one entry per factor group.
 OmegaPattern = tuple[int, ...]
@@ -141,6 +141,32 @@ def pattern_codeword_sets(pattern: Sequence[int]) -> Iterator[tuple[tuple[int, .
     yield from rec(0, ())
 
 
+def _unit_phases(numerators: np.ndarray, denominator: int) -> np.ndarray:
+    """exp(2j*pi*numerators/denominator), the fraction reduced mod 1 first."""
+    return np.exp(2j * np.pi * (np.mod(numerators, denominator) / denominator))
+
+
+def _digit_phase_chi(factors: Sequence[int], nu: Sequence[int], weights: Sequence[int],
+                     cfg: WaveformConfig) -> np.ndarray:
+    """chi of one index vector: digit l_m = (n // weights[m]) % A_m contributes
+    phase 2*pi*nu_m*l_m/A_m, and under a fractional alpha*gamma the odd digits
+    add 2*pi*alpha*gamma*l_m*weights[m]; the phase is an integer numerator over
+    one common denominator until the single exp."""
+    if len(nu) != len(factors) or not all(1 <= v < a for v, a in zip(nu, factors)):
+        raise DomainError(f"index vector {tuple(nu)} needs one integer in [1, A - 1] "
+                          f"per factor A of {tuple(factors)}")
+    ag, twisted = cfg.alpha_gamma, cfg.condition == "B"
+    denom = math.lcm(*factors, ag.denominator if twisted else 1)
+    n_index = np.arange(math.prod(factors))
+    numer = np.zeros(len(n_index), dtype=np.int64)
+    for m, (a, v, w) in enumerate(zip(factors, nu, weights)):
+        coef = v * (denom // a)
+        if twisted and m % 2:
+            coef += ag.numerator * (denom // ag.denominator) * w
+        numer += coef * ((n_index // w) % a)
+    return _unit_phases(numer, denom)
+
+
 def build_g_sequence(factors: Sequence[int], nu: Sequence[int],
                      cfg: WaveformConfig) -> CaSequence:
     """Phase-assigned sequence over descending factors of N.
@@ -152,7 +178,8 @@ def build_g_sequence(factors: Sequence[int], nu: Sequence[int],
     """
     if list(factors) != sorted(factors, reverse=True) or math.prod(factors) != cfg.n_seq:
         raise DomainError(f"factors must be sorted descending and multiply to {cfg.n_seq}")
-    return CaSequence(_phase_rows(factors, [nu], cfg)[0], cfg)
+    weights = [math.prod(factors[:m]) for m in range(len(factors))]
+    return CaSequence(_digit_phase_chi(factors, nu, weights, cfg), cfg)
 
 
 def build_i_sequence(factors: Sequence[int], nu: Sequence[int],
@@ -163,7 +190,7 @@ def build_i_sequence(factors: Sequence[int], nu: Sequence[int],
     if list(factors) != sorted(factors) or math.prod(factors) != n:
         raise DomainError(f"factors must be sorted ascending and multiply to {n}")
     weights = [n // math.prod(factors[:m + 1]) for m in range(len(factors))]
-    return CaSequence(_phase_rows(factors, [nu], cfg, weights)[0], cfg)
+    return CaSequence(_digit_phase_chi(factors, nu, weights, cfg), cfg)
 
 
 def cs_subfamily(family: Family, index: int) -> list[tuple[int, CaSequence]]:

@@ -1,12 +1,17 @@
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from caseq import cli, rachsim, seqforge, spectra
 from caseq.cli import main
 
 
@@ -127,6 +132,65 @@ class TestSpectrum:
         lines = out.read_text().splitlines()
         assert lines[0] == "normalized_bandwidth,eta_db,family_kind"
         assert len(lines) == 4
+
+
+def _csv_module_bytes(header, rows):
+    """Reference: what the csv module writes for the rows, floats formatted by repr."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestWriteCsv:
+    @pytest.fixture(scope="class")
+    def pma48(self):
+        return seqforge.build_family(
+            "pma", seqforge.WaveformConfig(n_seq=48, gamma=2, alpha=Fraction(1, 2)))
+
+    def test_spectrum_over_three_blocks_and_a_tail(self, pma48, tmp_path):
+        points = 3 * cli._CSV_BLOCK + 37
+        columns = spectra.spectrum_csv_rows(spectra.compute_spectrum(pma48.sequences[0], 16.0,
+                                                                     points))
+        out, header = tmp_path / "spec.csv", ["normalized_freq", "power_db"]
+        cli._write_csv(out, header, columns)
+        rows = list(zip(*(c.tolist() for c in columns)))
+        assert len(rows) == points
+        assert out.read_bytes() == _csv_module_bytes(header, rows)
+
+    def test_eta_csv_with_its_string_column(self, family48, tmp_path):
+        out = tmp_path / "eta.csv"
+        assert run(["spectrum", "--family", str(family48), "--eta",
+                    "--bandwidths", "0.5,1,2", "--out", str(out)]) == 0
+        fam = seqforge.family_from_dict(json.loads(family48.read_text()))
+        rows = [(b, eta, fam.kind) for b, eta in spectra.out_of_band_fraction(fam, [0.5, 1.0, 2.0])]
+        assert out.read_bytes() == _csv_module_bytes(
+            ["normalized_bandwidth", "eta_db", "family_kind"], rows)
+
+    def test_simulation_rows(self, pma48, tmp_path):
+        cfg = rachsim.RaSimConfig(family=pma48, snr_db_list=[-4.0, 4.0], trials=500, seed=5,
+                                  profile=rachsim.ChannelProfile.flat_fading(), p_fa_target=1e-2)
+        rows = rachsim.result_csv_rows(rachsim.run_simulation(cfg))
+        out, header = tmp_path / "sim.csv", ["snr_db", "metric", "mc_value", "ci_halfwidth",
+                                             "closed_form"]
+        cli._write_csv(out, header, list(zip(*rows)))
+        assert out.read_bytes() == _csv_module_bytes(header, rows)
+
+    def test_memory_does_not_grow_with_the_rows(self, pma48, tmp_path):
+        """Writing 2^18 spectrum rows holds one block of Python values and text at a
+        time (about 0.8 MiB at 4096 rows), not the rows: below 2 MiB, where a list of
+        2^18 row tuples alone takes about 28 MiB."""
+        columns = spectra.spectrum_csv_rows(spectra.compute_spectrum(pma48.sequences[0], 16.0,
+                                                                     2 ** 18))
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "spec.csv", ["normalized_freq", "power_db"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestSimulate:

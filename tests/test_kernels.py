@@ -24,22 +24,24 @@ def _closed_form(f, amps, gamma, t):
 
 def _mask_kernel(freqs, amps, sub_freqs, pulse_t):
     """Reference: the same partial-fraction sums with the near field found by
-    a full-matrix mask, |f - x_n| T < 1 tested for every (f, n) pair."""
+    a full-matrix mask, |f - x_n| T < 1 tested for every (f, n) pair.  The
+    matrix is N x chunk, as in the kernel: BLAS may round the product of the
+    other layout differently in the last bit."""
     twisted = amps * np.exp(2j * np.pi * np.mod(sub_freqs * pulse_t, 1.0))
-    coef = np.stack([amps.real, amps.imag, twisted.real, twisted.imag], axis=1)
+    coef = np.stack([amps.real, amps.imag, twisted.real, twisted.imag])
     out = np.empty(len(freqs), dtype=np.float64)
     for start in range(0, len(freqs), _kernels._CHUNK):
         f = freqs[start:start + _kernels._CHUNK]
-        v = f[:, None] - sub_freqs[None, :]
+        v = f[None, :] - sub_freqs[:, None]
         near = np.abs(v) * pulse_t < 1.0
-        inv = np.divide(1.0, v, out=np.zeros_like(v), where=~near)
-        cauchy = inv @ coef
-        a_sum = cauchy[:, 0] + 1j * cauchy[:, 1]
-        b_sum = cauchy[:, 2] + 1j * cauchy[:, 3]
+        inv = np.divide(1.0, v, out=np.zeros((len(sub_freqs), len(f))), where=~near)
+        cauchy = coef @ inv
+        a_sum = cauchy[0] + 1j * cauchy[1]
+        b_sum = cauchy[2] + 1j * cauchy[3]
         acc = (a_sum - np.exp(-2j * np.pi * np.mod(f * pulse_t, 1.0)) * b_sum) \
             / (2j * np.pi)
-        rows, cols = np.nonzero(near)
-        vt = v[rows, cols] * pulse_t
+        cols, rows = np.nonzero(near)
+        vt = v[cols, rows] * pulse_t
         terms = amps[cols] * (pulse_t * np.sinc(vt) * np.exp(-1j * np.pi * vt))
         acc += np.bincount(rows, terms.real, len(f)) \
             + 1j * np.bincount(rows, terms.imag, len(f))

@@ -149,19 +149,6 @@ class TestCheckFamily:
         rep = sv.check_family(mixed)
         assert abs(rep.gram_max_offdiag - 1.0) < 1e-12
 
-    def test_peak_memory_below_two_and_a_half_stacks(self, cfg_b839):
-        """check_family reads the family's own chi stack and holds beside it
-        at most one conjugate copy and the J x J Gram (11.2 MB each at pma839),
-        so its traced peak stays below 2.5 J x N complex blocks (26.8 MiB)."""
-        fam = sf.build_family("pma", cfg_b839)
-        tracemalloc.start()
-        try:
-            sv.check_family(fam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 16 * len(fam) * fam.n
-
     def test_peak_memory_below_half_a_stack(self, cfg_b839):
         """Beside the family's own stack, check_family holds row blocks of about
         1 MiB and no J x J Gram or J x N conjugate copy: its traced peak stays
