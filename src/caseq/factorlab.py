@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -78,9 +78,6 @@ class Decomposition:
 
     n: int
     parts: tuple[int, ...]
-    #: largest achievable min-omega over all decompositions of n (set by
-    #: mpo_decompose; equals min_omega when the witness attains it).
-    mpo: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if sum(self.parts) != self.n:
@@ -95,6 +92,12 @@ class Decomposition:
         return min(prime_factorize(p).omega for p in self.parts)
 
     @property
+    def mpo(self) -> int:
+        """Largest achievable min-omega over all decompositions of n; equals
+        min_omega when these parts attain it."""
+        return mpo_value(self.n)
+
+    @property
     def satisfies_restriction_a(self) -> bool:
         """At least three parts and no part as large as half the total."""
         return len(self.parts) >= 3 and 2 * max(self.parts) < self.n
@@ -105,8 +108,7 @@ class Decomposition:
 
     @classmethod
     def from_parts(cls, n: int, parts: Sequence[int]) -> "Decomposition":
-        d = cls(n, tuple(sorted(parts, reverse=True)))
-        return Decomposition(d.n, d.parts, mpo=mpo_value(n))
+        return cls(n, tuple(sorted(parts, reverse=True)))
 
 
 #: Largest trial divisor: a cofactor above its square with no smaller prime
@@ -344,7 +346,9 @@ def mpo_value(n: int) -> int:
 
     Single-part sums are allowed, so the result is at least omega(n).
     """
-    return mpo_decompose(n).mpo
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
+    return _top_split(n, n.bit_length() - 1, n, 1)[0]  # omega(v <= n) <= log2 n
 
 
 def _top_split(n: int, top: int, cap: int, min_parts: int) -> tuple[int, tuple[int, ...] | None]:
@@ -408,14 +412,11 @@ def mpo_decompose(n: int, require_restriction_a: bool = False) -> Decomposition:
     no such witness exists at the top level, the best compliant lower
     level is returned (Decomposition.at_mpo is then False).
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    best_t, parts = _top_split(n, n.bit_length() - 1, n, 1)  # omega(v <= n) <= log2 n
-    if require_restriction_a:
-        parts = _top_split(n, best_t, (n - 1) // 2, 3)[1]
+    cap, min_parts = ((n - 1) // 2, 3) if require_restriction_a else (n, 1)
+    parts = _top_split(n, mpo_value(n), cap, min_parts)[1]
     if parts is None:
         raise InfeasibleError(f"no decomposition of {n} with >= 3 parts below {n}/2 at any level")
-    return Decomposition(n, parts, mpo=best_t)
+    return Decomposition(n, parts)
 
 
 def available_with_min_csd(fs: FactorSet, min_csd: int) -> int:

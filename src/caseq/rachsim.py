@@ -25,7 +25,7 @@ import importlib.resources
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -153,8 +153,6 @@ class RaSnrResult:
 class RaResult:
     config_echo: dict
     per_snr: list[RaSnrResult]
-    sigma_fie_max: float
-    sigma_fie_mean: float
     sigma_c: float
 
 
@@ -300,12 +298,6 @@ def _closed_forms(sigma_fie: np.ndarray, sigma_c: float, beta: float,
         "p_fid": float(np.mean(per_k)),
         "p_c": math.exp(-beta * phi / (1.0 + phi * sigma_c)),
     }
-
-
-def _fie_stats(sigma_fie: np.ndarray) -> tuple[float, float]:
-    """Largest and mean off-diagonal leakage variance."""
-    off = sigma_fie[~np.eye(sigma_fie.shape[0], dtype=bool)]
-    return (float(off.max()), float(off.mean())) if off.size else (0.0, 0.0)
 
 
 def _noise_colour(gram: np.ndarray) -> np.ndarray | None:
@@ -476,7 +468,6 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
         per_snr.append(RaSnrResult(
             snr_db=snr_db, beta=beta, mc=mc,
             closed_form={k: cf[k] for k in ("p_fa", "p_fid", "p_c")}))
-    fie_max, fie_mean = _fie_stats(sigma_fie)
     return RaResult(
         config_echo={
             "n": fam.n, "j": j, "kind": fam.kind, "trials": cfg.trials,
@@ -490,8 +481,6 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             "table_bytes": tables.table.nbytes + tables.index.nbytes,
         },
         per_snr=per_snr,
-        sigma_fie_max=fie_max,
-        sigma_fie_mean=fie_mean,
         sigma_c=sigma_c,
     )
 

@@ -77,6 +77,13 @@ class WaveformConfig:
     def pulse_duration(self) -> float:
         return 1.0 + float(self.alpha)
 
+    def tone_twist(self, n: int) -> np.ndarray:
+        """exp(-2j pi k alpha gamma) for k = 0..n-1, with k alpha gamma
+        reduced mod 1 exactly before the one trig call per entry."""
+        ag = self.alpha_gamma
+        frac = (np.arange(n, dtype=np.int64) * ag.numerator) % ag.denominator
+        return np.exp(-2j * np.pi * frac / ag.denominator)
+
 
 def _signs(n: int, gamma: int) -> np.ndarray:
     """(-1)^(n*gamma) for n = 0..n-1, the sign carried from chi to q."""
@@ -201,20 +208,16 @@ def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]],
 
 
 def _hat_members(parts: Sequence[int], factor_sets: Sequence[Sequence[int]],
-                 nu_sets: Sequence[Sequence[Sequence[int]]], cfg: WaveformConfig,
-                 rotation: Sequence[float] | None = None) -> np.ndarray:
+                 nu_sets: Sequence[Sequence[Sequence[int]]], cfg: WaveformConfig) -> np.ndarray:
     """chi of concatenations of per-part phase-assigned subsequences, one row
     per entry of nu_sets (one index vector per part).  Part rho is built by
     _phase_rows over its descending factor set, as one block of columns
-    of a single phase matrix, times exp(1j*rotation[rho]) when rotated; the
-    sign in q uses the absolute index across the concatenation."""
+    of a single phase matrix; the sign in q uses the absolute index across
+    the concatenation."""
     if sum(parts) != cfg.n_seq:
         raise DomainError(f"decomposition of {sum(parts)}, config says {cfg.n_seq}")
-    blocks = []  # each block is rotated as it is built, so one unrotated block lives at a time
-    for rho, factors in enumerate(factor_sets):
-        block = _phase_rows(factors, [s[rho] for s in nu_sets], cfg)
-        blocks.append(block if rotation is None else block * np.exp(1j * rotation[rho]))
-    return np.concatenate(blocks, axis=1)
+    return np.concatenate([_phase_rows(factors, [s[rho] for s in nu_sets], cfg)
+                           for rho, factors in enumerate(factor_sets)], axis=1)
 
 
 def _nu_vectors(factors: Sequence[int]) -> list[tuple[int, ...]]:
@@ -380,8 +383,6 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
                     f"achieved only without >= 3 parts below N/2")
         else:
             decomp = factorlab.mpo_decompose(n)
-    elif decomp.mpo == 0:
-        decomp = Decomposition(n, decomp.parts, mpo=factorlab.mpo_value(n))
     if kind in ("hat_dpma", "adpma") and not 1 <= kappa <= decomp.min_omega - 1:
         raise DomainError(
             f"{kind} needs kappa in [1, {decomp.min_omega - 1}] for parts "
@@ -398,7 +399,10 @@ def _build_structured_family(kind: str, cfg: WaveformConfig, kappa: int,
 
 def augment_family(base: Family, rotated: int | None = None) -> Family:
     """Double a concatenated family by appending per-part phase-rotated copies
-    of its index vectors, or of only the first ``rotated`` of them.
+    of its members, or of only the first ``rotated`` of them: part rho of a
+    copy is that part of its member times exp(1j*theta[rho]).  A base cut
+    to its leading members is refused unless ``rotated`` is 0, as only then
+    is the result the leading members of the augmented family.
 
     The rotation phases solve the closure condition over the part lengths,
     so each rotated copy is orthogonal to its original; all cross pairs are
@@ -406,15 +410,17 @@ def augment_family(base: Family, rotated: int | None = None) -> Family:
     """
     if base.kind not in ("hat_pma", "hat_dpma"):
         raise DomainError(f"can only augment hat families, got {base.kind!r}")
+    size = len(base.meta["nu_vectors"])
+    if rotated != 0 and len(base) < size:
+        # its rotated copies would not be the leading members of the augmented family
+        raise DomainError(f"can only rotate a full {base.kind} family: this base holds "
+                          f"{len(base)} of its {size} members")
     parts = tuple(base.meta["decomposition"])
     sol = solve_rotation(parts)
     # the phases come from the exported degrees, so theta_degrees alone
     # reproduces the rotated members bit for bit
     theta_deg = [math.degrees(t) for t in sol.theta]
-    theta = [math.radians(d) for d in theta_deg]
-    nu_sets = base.meta["nu_vectors"][:rotated]
-    copies = _hat_members(parts, base.meta["factor_sets"], nu_sets, base.cfg,
-                          rotation=theta) if nu_sets else np.empty((0, base.n))
+    copies = base.chi_matrix()[:rotated] * np.repeat(np.exp(1j * np.radians(theta_deg)), parts)
     new_kind = "apma" if base.kind == "hat_pma" else "adpma"
     meta = dict(base.meta)
     meta["theta_degrees"] = theta_deg

@@ -67,9 +67,7 @@ def _moments(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int) -> np.ndarray:
     n = chi.shape[1]
     powers = np.arange(n, dtype=np.float64) ** np.arange(beta_cap + 1)[:, None]
     if cfg.condition == "B":
-        ag = cfg.alpha_gamma
-        frac = (np.arange(n, dtype=np.int64) * ag.numerator) % ag.denominator
-        powers = np.concatenate([powers, powers * np.exp(-2j * np.pi * (frac / ag.denominator))])
+        powers = np.concatenate([powers, powers * cfg.tone_twist(n)])
     return (chi @ powers.T).reshape(len(chi), -1, beta_cap + 1)
 
 

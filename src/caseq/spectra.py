@@ -13,7 +13,7 @@ occupied-band center, normalized by the signal bandwidth gamma*N/T_d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class SpectrumResult:
     freqs: np.ndarray        # normalized offsets from band center
     power: np.ndarray        # linear power spectrum values
     total_power: float       # trapezoid integral over the grid
-    meta: dict = field(default_factory=dict)
 
 
 def _subcarrier_amps(chi: np.ndarray, cfg) -> np.ndarray:
@@ -42,10 +41,8 @@ def _subcarrier_amps(chi: np.ndarray, cfg) -> np.ndarray:
     exp(-2j pi f_n (alpha + 1/2)); combined with the alternating sign in q
     this leaves chi[n] * exp(-2j pi n alpha gamma) / sqrt(N).
     """
-    ag = cfg.alpha_gamma
     n = chi.shape[-1]
-    frac = (np.arange(n, dtype=np.int64) * ag.numerator) % ag.denominator
-    return (chi / math.sqrt(n)) * np.exp(-2j * np.pi * frac / ag.denominator)
+    return (chi / math.sqrt(n)) * cfg.tone_twist(n)
 
 
 def compute_spectrum(seq: CaSequence, grid_span: float = 64.0,
@@ -76,10 +73,7 @@ def compute_spectrum(seq: CaSequence, grid_span: float = 64.0,
     freqs = center + norm * bandwidth
     power = spectrum_power(freqs, _subcarrier_amps(seq.chi, cfg), cfg.gamma, cfg.pulse_duration)
     total = float(np.trapezoid(power, norm))
-    return SpectrumResult(freqs=norm, power=power, total_power=total, meta={
-        "n": seq.n, "gamma": cfg.gamma, "alpha": str(cfg.alpha),
-        "grid_span": grid_span, "grid_points": grid_points,
-    })
+    return SpectrumResult(freqs=norm, power=power, total_power=total)
 
 
 def lobe_maxima(spec: SpectrumResult) -> tuple[np.ndarray, np.ndarray]:

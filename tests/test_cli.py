@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from caseq import cli, rachsim, seqforge, spectra
+from caseq import cli, factorlab, rachsim, seqforge, spectra
 from caseq.cli import main
 
 
@@ -327,6 +327,16 @@ def test_oversized_chi_exits_2_with_one_line(tmp_path):
     # its leading 10 members take 1.3 MB and are built
     assert run(["build", "--n", "8209", "--kind", "pma", "--count", "10", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["size"] == 10
+
+
+def test_oversized_decomp_build_exits_2_before_any_search(monkeypatch, tmp_path):
+    # 1024 hat_pma members of length 1000003 need 15.3 GiB of chi; no mpo search runs first
+    monkeypatch.setattr(factorlab, "_top_split", lambda *a: pytest.fail("searched"))
+    parts, out = tmp_path / "parts.json", tmp_path / "big.json"
+    parts.write_text('{"parts": [500003, 300000, 200000]}')
+    assert run(["build", "--n", "1000003", "--kind", "hat_pma", "--decomp", str(parts),
+                "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["build", "simulate"])

@@ -568,6 +568,18 @@ class TestMpo:
         assert d.satisfies_restriction_a
         assert d.mpo == 5 and not d.at_mpo
 
+    def test_mpo_is_a_property_of_n(self):
+        # a directly constructed decomposition reads the same level as from_parts
+        d = fl.Decomposition(139, (50, 45, 44))
+        assert d.mpo == fl.mpo_value(139) == 3
+        assert d.at_mpo
+        assert d == fl.Decomposition.from_parts(139, (44, 50, 45))
+
+    def test_from_parts_runs_no_search(self, monkeypatch):
+        monkeypatch.setattr(fl, "_top_split", lambda *a: pytest.fail("searched"))
+        assert fl.Decomposition.from_parts(1000003, (200000, 500003, 300000)).parts == (
+            500003, 300000, 200000)
+
     def test_invalid_parts_rejected(self):
         with pytest.raises(DomainError):
             fl.Decomposition(10, (5, 4))

@@ -169,6 +169,40 @@ class TestFamilies:
         gram = q.conj() @ q.T
         assert np.abs(gram - np.eye(len(aug))).max() < 1e-9
 
+    @pytest.mark.parametrize("kind, n, parts, kappa", [
+        ("hat_pma", 139, (50, 45, 44), 0), ("hat_dpma", 839, (396, 243, 200), 1),
+    ], ids=["apma139", "adpma839"])
+    def test_rotated_rows_are_base_rows_times_part_phases(self, kind, n, parts, kappa):
+        cfg = sf.WaveformConfig(n)
+        base = sf.build_family(kind, cfg, kappa=kappa, decomp=fl.Decomposition.from_parts(n, parts))
+        aug = sf.augment_family(base)
+        assert len(aug) == 2 * len(base)
+        chi, rows = aug.chi_matrix(), base.chi_matrix()
+        assert chi[:len(base)].tobytes() == rows.tobytes()
+        edges = np.cumsum((0,) + parts)
+        for lo, hi, deg in zip(edges, edges[1:], aug.meta["theta_degrees"]):
+            rotated = rows[:, lo:hi] * np.exp(1j * math.radians(deg))
+            assert chi[len(base):, lo:hi].tobytes() == rotated.tobytes()
+
+    def test_augmenting_a_cut_base_is_refused(self, cfg_b139):
+        # 3 hat rows and their rotated copies are not the leading 6 apma members
+        decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
+        base = sf.build_family("hat_pma", cfg_b139, decomp=decomp, count=3)
+        for rotated in (None, 1, 3):
+            with pytest.raises(DomainError, match="holds 3 of its 10 members"):
+                sf.augment_family(base, rotated=rotated)
+        aug = sf.augment_family(base, rotated=0)  # the path of build_family("apma", count=3)
+        counted = sf.build_family("apma", cfg_b139, decomp=decomp, count=3)
+        assert aug.kind == "apma" and aug.chi_matrix().tobytes() == counted.chi_matrix().tobytes()
+
+    def test_augmenting_builds_each_part_once(self, monkeypatch, cfg_b139):
+        calls = []
+        phase_rows = sf._phase_rows
+        monkeypatch.setattr(sf, "_phase_rows", lambda *a: calls.append(list(a[0])) or phase_rows(*a))
+        fam = sf.build_family("apma", cfg_b139, decomp=fl.Decomposition.from_parts(139, (50, 45, 44)))
+        assert len(fam) == 20
+        assert calls == fam.meta["factor_sets"]  # one call per part, in part order
+
     @pytest.mark.parametrize("kind,kw", [
         ("pma", {}), ("apma", {}), ("zc", {"count": 10, "min_csd": 13}),
         ("pn", {"count": 4, "min_csd": 13}),
