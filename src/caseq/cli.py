@@ -249,13 +249,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--min-csd", dest="min_csd", type=int, default=None)
     p.add_argument("--values", action="store_true",
                    help="embed sequence values in the family JSON")
-    p.add_argument("--beta-cap", dest="beta_cap", type=int, default=6)
+    p.add_argument("--beta-cap", dest="beta_cap", type=int, default=seqverify.DEFAULT_BETA_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="re-check a family JSON")
     p.add_argument("--family", required=True)
-    p.add_argument("--beta-cap", dest="beta_cap", type=int, default=6)
+    p.add_argument("--beta-cap", dest="beta_cap", type=int, default=seqverify.DEFAULT_BETA_CAP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .factorlab import DomainError
-from .seqforge import MAX_DENSE_TABLE_BYTES, Family, _phase_rows
+from .seqforge import MAX_DENSE_TABLE_BYTES, Family, _nu_rows, _phase_rows
 
 #: Monte Carlo batch size; tallies are merged per batch with a batch-derived
 #: substream, so results do not depend on how batches are scheduled.
@@ -227,8 +227,8 @@ def _recipe_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
     at O(J N), so a family whose rows and meta disagree is refused rather
     than simulated under the wrong model.
     """
-    factors, nus = family.meta["factor_set"], family.meta["nu_vectors"]
-    nu = np.array([nus[p] for p in pick])
+    factors = family.meta["factor_set"]
+    nu = _nu_rows(factors, pick)
     rows = family.chi_matrix()[pick]
     rebuilt = _phase_rows(factors, nu, family.cfg)
     if rows.shape != rebuilt.shape or not np.abs(rows - rebuilt).max() <= 1e-12:
@@ -255,8 +255,8 @@ def _dense_tables(q_matrix: np.ndarray, profile: ChannelProfile,
 def _leakage_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
                     delta_f_hz: float) -> _LeakageTables:
     """Tables of the picked members: from the recipe of a flat family that
-    carries one (factor_set and nu_vectors in its meta), dense otherwise."""
-    if "factor_set" in family.meta and "nu_vectors" in family.meta:
+    carries one (factor_set in its meta), dense otherwise."""
+    if "factor_set" in family.meta:
         return _recipe_tables(family, pick, profile, delta_f_hz)
     j = len(pick)
     need = (16 * len(profile.delays_s) + 8) * j * j

@@ -169,9 +169,8 @@ class RotationSolution:
     residual: float
 
 
-def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]],
-                cfg: WaveformConfig) -> np.ndarray:
-    """chi of every index vector in nus as the rows of one matrix.
+def _phase_rows(factors: Sequence[int], nus: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
+    """chi of every index vector in nus (rows of _nu_rows) as the rows of one matrix.
 
     Index n decomposes in the mixed radix over the factors with digit weights
     phi_0 = 1, phi_m = prod(factors[:m]); digit m contributes phase
@@ -181,11 +180,6 @@ def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]],
     the D-th roots of unity when D is at most the number of entries, and the
     exp of each entry otherwise."""
     weights = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
-    nu = np.array(nus)
-    if (nu.dtype.kind not in "iu" or nu.shape != (len(nus), len(factors))
-            or not ((nu >= 1) & (nu < np.array(factors))).all()):
-        raise DomainError(f"index vectors need one integer in [1, A - 1] per factor A "
-                          f"of {tuple(factors)}")
     ag, twisted = cfg.alpha_gamma, cfg.condition == "B"
     denom = math.lcm(*factors, ag.denominator if twisted else 1)
     n_index = np.arange(math.prod(factors))
@@ -193,7 +187,7 @@ def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]],
     # numerator coefficient of digit l_m in row j: nu_jm * denom/A_m plus the twist
     twist = [ag.numerator * (denom // ag.denominator) * w if twisted and m % 2 else 0
              for m, w in enumerate(weights)]
-    coef = nu.astype(np.int64) * [denom // a for a in factors] + twist
+    coef = nus.astype(np.int64) * [denom // a for a in factors] + twist
     roots = _roots_of_unity(denom) if denom <= len(nus) * len(n_index) else None
     chi = np.empty((len(nus), len(n_index)), dtype=complex)
     rows = max(1, 2 ** 16 // len(n_index))  # keeps each block's transients near 1 MiB
@@ -207,22 +201,10 @@ def _phase_rows(factors: Sequence[int], nus: Sequence[Sequence[int]],
     return chi
 
 
-def _hat_members(parts: Sequence[int], factor_sets: Sequence[Sequence[int]],
-                 nu_sets: Sequence[Sequence[Sequence[int]]], cfg: WaveformConfig) -> np.ndarray:
-    """chi of concatenations of per-part phase-assigned subsequences, one row
-    per entry of nu_sets (one index vector per part).  Part rho is built by
-    _phase_rows over its descending factor set, as one block of columns
-    of a single phase matrix; the sign in q uses the absolute index across
-    the concatenation."""
-    if sum(parts) != cfg.n_seq:
-        raise DomainError(f"decomposition of {sum(parts)}, config says {cfg.n_seq}")
-    return np.concatenate([_phase_rows(factors, [s[rho] for s in nu_sets], cfg)
-                           for rho, factors in enumerate(factor_sets)], axis=1)
-
-
-def _nu_vectors(factors: Sequence[int]) -> list[tuple[int, ...]]:
-    """All admissible index vectors, lexicographic."""
-    return list(itertools.product(*(range(1, a) for a in factors)))
+def _nu_rows(factors: Sequence[int], members: Sequence[int]) -> np.ndarray:
+    """Index vectors of the given member indices, one row each: member p takes
+    the p-th vector, lexicographic, of the product of range(1, A) over the factors."""
+    return np.stack(np.unravel_index(members, [a - 1 for a in factors]), -1) + 1
 
 
 def solve_rotation(parts: Sequence[int]) -> RotationSolution:
@@ -292,34 +274,32 @@ def _build_flat_family(kind: str, fs: FactorSet, cfg: WaveformConfig,
                        count: int | None) -> Family:
     kept = _kept_members(kind, fs.family_size, count, cfg.n_seq)
     factors = fs.sorted_descending()
-    nus = _nu_vectors(factors)
     return Family(
-        sequences=CaSequence(_phase_rows(factors, nus[:kept], cfg), cfg),
+        sequences=CaSequence(_phase_rows(factors, _nu_rows(factors, range(kept)), cfg), cfg),
         kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(len(factors), cfg),
         family_csd=fs.family_csd,
-        meta={"factor_set": list(factors), "kappa": fs.kappa,
-              "nu_vectors": [list(v) for v in nus]},
+        meta={"factor_set": list(factors), "kappa": fs.kappa},
     )
 
 
 def _build_hat_family(kind: str, decomp: Decomposition,
                       factor_sets: list[FactorSet], cfg: WaveformConfig,
                       kappa: int, kept: int) -> Family:
+    if sum(decomp.parts) != cfg.n_seq:
+        raise DomainError(f"decomposition of {sum(decomp.parts)}, config says {cfg.n_seq}")
     per_part_factors = [fs.sorted_descending() for fs in factor_sets]
-    # member i takes the i-th index vector of every part
-    chosen = [[list(v) for v in nu_set] for nu_set in zip(*map(_nu_vectors, per_part_factors))]
+    # member i takes the i-th index vector of every part, each part one block of columns
+    chi = np.concatenate([_phase_rows(f, _nu_rows(f, range(kept)), cfg)
+                          for f in per_part_factors], axis=1)
     return Family(
-        sequences=CaSequence(_hat_members(decomp.parts, per_part_factors, chosen[:kept], cfg),
-                             cfg),
+        sequences=CaSequence(chi, cfg),
         kind=kind, cfg=cfg,
         sd_order_bound=_sd_bound(decomp.min_omega - kappa, cfg),
         family_csd=None,
         meta={"decomposition": list(decomp.parts),
               "factor_sets": [list(f) for f in per_part_factors],
-              "kappa": kappa,
-              "nu_vectors": chosen,
-              "no_sd_gain": decomp.mpo == prime_factorize(decomp.n).omega},
+              "kappa": kappa},
     )
 
 
@@ -410,7 +390,7 @@ def augment_family(base: Family, rotated: int | None = None) -> Family:
     """
     if base.kind not in ("hat_pma", "hat_dpma"):
         raise DomainError(f"can only augment hat families, got {base.kind!r}")
-    size = len(base.meta["nu_vectors"])
+    size = min(math.prod(a - 1 for a in f) for f in base.meta["factor_sets"])
     if rotated != 0 and len(base) < size:
         # its rotated copies would not be the leading members of the augmented family
         raise DomainError(f"can only rotate a full {base.kind} family: this base holds "
@@ -530,9 +510,8 @@ def family_to_dict(family: Family, include_sequences: bool = False) -> dict:
         "family_csd": family.family_csd,
         "size": len(family),
     }
-    for key in ("factor_set", "factor_sets", "decomposition", "nu_vectors",
-                "theta_degrees", "kappa", "roots", "min_csd", "members",
-                "taps", "no_sd_gain"):
+    for key in ("factor_set", "factor_sets", "decomposition", "theta_degrees",
+                "kappa", "roots", "min_csd", "members", "taps"):
         if key in family.meta:
             out[key] = family.meta[key]
     if include_sequences:

@@ -15,6 +15,7 @@ N u sum n^beta (u = 2^-53), five orders under MOMENT_RTOL at N <= 1151.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -52,8 +53,13 @@ def amplitude_checks(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def moment_tolerance(n: int, beta: int) -> float:
-    """MOMENT_RTOL * sum_{i<n} i^beta, summed once per (n, beta)."""
-    return MOMENT_RTOL * float(sum(float(i) ** beta for i in range(n)))
+    """MOMENT_RTOL * sum_{i<n} i^beta, the sum S_beta exact in integers from
+    S_b = (n^(b+1) - sum_{j<b} C(b+1, j) S_j) / (b+1)."""
+    sums = []
+    for b in range(beta + 1):
+        lower = sum(math.comb(b + 1, j) * s for j, s in enumerate(sums))
+        sums.append((n ** (b + 1) - lower) // (b + 1))
+    return MOMENT_RTOL * sums[-1]
 
 
 def _check_beta_cap(beta_cap: int):

@@ -10,6 +10,7 @@ built on its own from its digit phases, and cyclic-shift subfamilies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -207,7 +208,10 @@ def cs_subfamily(family: Family, index: int) -> list[tuple[int, CaSequence]]:
     if not 0 <= index < len(family):
         raise DomainError(f"member index must be in [0, {len(family) - 1}], got {index}")
     n, a = family.n, family.meta["factor_set"][0]
-    step, v0 = n // a, family.meta["nu_vectors"][index][0]
+    # the paper's numbering: member index takes the index-th vector of the
+    # lexicographic product of range(1, A) over the descending factor set
+    nus = list(itertools.product(*(range(1, f) for f in family.meta["factor_set"])))
+    step, v0 = n // a, nus[index][0]
     chi = family.sequences[index].chi
     return [(k, CaSequence(chi * _unit_phases(np.arange(n) * k, n), family.cfg))
             for k in range(0, n, step) if k != (a - v0) * step]

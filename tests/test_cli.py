@@ -334,9 +334,13 @@ def test_oversized_decomp_build_exits_2_before_any_search(monkeypatch, tmp_path)
     monkeypatch.setattr(factorlab, "_top_split", lambda *a: pytest.fail("searched"))
     parts, out = tmp_path / "parts.json", tmp_path / "big.json"
     parts.write_text('{"parts": [500003, 300000, 200000]}')
-    assert run(["build", "--n", "1000003", "--kind", "hat_pma", "--decomp", str(parts),
-                "--out", str(out)]) == 2
+    argv = ["build", "--n", "1000003", "--kind", "hat_pma", "--decomp", str(parts),
+            "--out", str(out)]
+    assert run(argv) == 2
     assert not out.exists()
+    # one member passes the chi check, and it is built and exported with no search either
+    assert run([*argv, "--count", "1"]) == 0
+    assert out.stat().st_size < 1024
 
 
 @pytest.mark.parametrize("cmd", ["build", "simulate"])

@@ -339,13 +339,11 @@ def _oracle_family(kind, cfg, kappa, decomp, count):
         factors = fl.factor_set(cfg.n_seq, kappa, mode).sorted_descending()
         nus = _all_nus(factors)
         members = [_oracle_g_chi(factors, nu, cfg) for nu in nus]
-        meta = {"factor_set": list(factors), "kappa": kappa,
-                "nu_vectors": [list(v) for v in nus]}
+        meta = {"factor_set": list(factors), "kappa": kappa}
         return members[:count], meta
     sets = [list(fl.factor_set(p, kappa).sorted_descending()) for p in decomp.parts]
     chosen = [[list(v) for v in nu_set] for nu_set in zip(*map(_all_nus, sets))]
-    meta = {"decomposition": list(decomp.parts), "factor_sets": sets, "kappa": kappa,
-            "nu_vectors": chosen, "no_sd_gain": fl.mpo_value(decomp.n) == po.omega(decomp.n)}
+    meta = {"decomposition": list(decomp.parts), "factor_sets": sets, "kappa": kappa}
     rotations = [None]
     if kind in ("apma", "adpma"):
         sol = sf.solve_rotation(decomp.parts)
@@ -468,7 +466,7 @@ def _shifted_nu(fam, index, shift):
     """Index vector a cyclic shift of member index lands on: the leading
     index advances by shift / (N / A) modulo the largest factor A."""
     a = fam.meta["factor_set"][0]
-    nu = fam.meta["nu_vectors"][index]
+    nu = list(_all_nus(fam.meta["factor_set"])[index])
     return [(nu[0] + shift // (fam.n // a)) % a] + nu[1:]
 
 
@@ -500,14 +498,14 @@ class TestCsSubfamily:
         fam = sf.build_family("dpma", cfg_a48, kappa=2)  # factors {4,4,3}
         seen = set()
         reached = []
-        for index, nu in enumerate(fam.meta["nu_vectors"]):
+        for index, nu in enumerate(_all_nus(fam.meta["factor_set"])):
             if tuple(nu[1:]) in seen:
                 continue
             seen.add(tuple(nu[1:]))
             members = po.cs_subfamily(fam, index)
             assert len(members) == fam.meta["factor_set"][0] - 1
             reached += [tuple(_shifted_nu(fam, index, k)) for k, _ in members]
-        assert sorted(reached) == sorted(map(tuple, fam.meta["nu_vectors"]))
+        assert sorted(reached) == sorted(_all_nus(fam.meta["factor_set"]))
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_index_outside_family_refused(self, cfg_a48, index):
@@ -640,8 +638,9 @@ def _round_trip(fam, include_sequences=False):
     return back
 
 
-def _edit_nu(d):
-    d["nu_vectors"][0][0] += 1
+def _carry_nu_vectors(d):
+    # the index vectors that family files used to list, one per member
+    d["nu_vectors"] = [list(v) for v in _all_nus(d["factor_set"])]
 
 
 def _edit_factor_set(d):
@@ -688,15 +687,22 @@ class TestFamilyJson:
         _round_trip(sf.build_family(kind, cfg, **kw), include_sequences=True)
 
     def test_leading_members_round_trip(self, cfg_b139):
-        # a family cut to its leading members exports size < nu_vectors and
-        # reloads as exactly those members
+        # a family cut to its leading members exports a size below the full
+        # family its factor sets give, and reloads as exactly those members
         decomp = fl.Decomposition.from_parts(139, (50, 45, 44))
         fam = sf.build_family("apma", cfg_b139, decomp=decomp)
         cut = dataclasses.replace(fam, sequences=fam.sequences[:2])
         back = _round_trip(cut, include_sequences=True)
-        assert len(back) == 2 and len(back.meta["nu_vectors"]) == len(fam) // 2
+        full_size = min(len(_all_nus(f)) for f in back.meta["factor_sets"])
+        assert len(back) == 2 and full_size == len(fam) // 2
         counted = sf.build_family("apma", cfg_b139, decomp=decomp, count=2)
         assert sf.family_to_dict(counted) == sf.family_to_dict(cut)
+
+    def test_one_member_of_a_long_family_exports_only_its_recipe(self):
+        # member 0 of the 1000002 of pma1000003: no per-member field is exported
+        fam = sf.build_family("pma", sf.WaveformConfig(n_seq=1000003), count=1)
+        assert len(json.dumps(sf.family_to_dict(fam))) < 1024
+        _round_trip(fam)
 
     def test_cut_family_is_verified_and_measured(self, cfg_b139):
         # the benchmark's smoke path: a family cut to two members with
@@ -737,12 +743,14 @@ class TestFamilyJson:
         assert np.array_equal(arr[:, 0] + 1j * arr[:, 1], fam.sequences[0].chi)
 
     @pytest.mark.parametrize("edit,key", [
-        (_edit_nu, "nu_vectors"),
+        (_carry_nu_vectors, "nu_vectors"),
+        (lambda d: d.update(no_sd_gain=False), "no_sd_gain"),
         (lambda d: d.update(sd_order_bound=9), "sd_order_bound"),
         (_edit_factor_set, "factor_set"),
         (lambda d: d.update(comment="hand-tuned"), "comment"),
         (_edit_value, "sequences"),
-    ], ids=["nu_vectors", "sd_order_bound", "factor_set", "extra_key", "sequences"])
+    ], ids=["nu_vectors", "no_sd_gain", "sd_order_bound", "factor_set", "extra_key",
+            "sequences"])
     def test_tampered_json_refused(self, cfg_a48, edit, key):
         fam = sf.build_family("dpma", cfg_a48, kappa=2)
         data = json.loads(json.dumps(sf.family_to_dict(fam, include_sequences=True)))

@@ -109,8 +109,8 @@ class TestSdOrders:
     def test_moment_tolerance_is_cached_sum(self):
         sv.moment_tolerance.cache_clear()
         for n, beta in ((48, 5), (839, 6), (48, 5)):
-            assert sv.moment_tolerance(n, beta) == sv.MOMENT_RTOL * float(
-                sum(float(i) ** beta for i in range(n)))
+            assert sv.moment_tolerance(n, beta) == sv.MOMENT_RTOL * sum(
+                i ** beta for i in range(n))
         assert sv.moment_tolerance.cache_info().hits == 1
 
     def test_beta_cap_guard(self, cfg_a48):
