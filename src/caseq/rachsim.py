@@ -12,11 +12,15 @@ correct-identification probabilities read their variances from the same
 tensor.  The tensor is held as a lookup, C_l[k, i] = table[l, index[k, i]]:
 for a flat phase-assigned family the table has one entry per tone and tap,
 built from the family's recipe, and for every other family it is the dense
-tensor.  A table of at most 2J columns is multiplied by the tap gains whole;
-a wider one is gathered tap by tap.  Gains and request noise are complex
-Gaussians from normal draws.  Estimates come with one-sigma half-widths:
-z=1 Wilson intervals for p_fa and p_c, and the per-trial standard error
-for p_fid, whose J - 1 events in a trial share one channel draw.
+tensor.  The trials of each keyed batch run in row blocks of about 2^14
+correlator outputs, so a run holds the O(L N + J^2) tables plus one block;
+the blocks draw the batch's numbers in order, so the block size changes no
+tally.  A table of at most 2J columns is multiplied by a block's tap gains
+whole; a wider one is gathered tap by tap.  Gains and request noise are
+complex Gaussians from normal draws.  Estimates come with one-sigma
+half-widths: z=1 Wilson intervals for p_fa and p_c, and the per-trial
+standard error for p_fid, whose J - 1 events in a trial share one channel
+draw.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .seqforge import MAX_DENSE_TABLE_BYTES, Family, _nu_rows, _phase_rows
 #: Monte Carlo batch size; tallies are merged per batch with a batch-derived
 #: substream, so results do not depend on how batches are scheduled.
 BATCH = 4096
+#: correlator outputs per Monte Carlo block: a batch's trials run BLOCK // J
+#: at a time, so each block's complex outputs stay near 256 KiB
+BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -222,24 +229,33 @@ def _recipe_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
     and the condition-B twist cancel.  So C_l[k, i] = G_l[d], where G_l is
     sqrt(N) times the ifftn of tap l's phases over the mixed-radix digits
     and d = sum_m ((nu_km - nu_im) mod A_m) phi_m, phi_m = prod(factors[:m]):
-    an L x N table.  M[i, k] is 1 where d = 0 and 0 elsewhere, the identity
-    for distinct nu.  The picked rows are first checked against the recipe,
-    at O(J N), so a family whose rows and meta disagree is refused rather
-    than simulated under the wrong model.
+    an L x N table.  M[i, k] is 1 where d = 0 and 0 elsewhere: the picked
+    nu are distinct, so M is the identity and the noise is white.  The
+    picked rows are first checked against the recipe in row blocks, at
+    O(J N) time, so a family whose rows and meta disagree is refused rather
+    than simulated under the wrong model; index is then summed in place with
+    one J x J work array.
     """
     factors = family.meta["factor_set"]
     nu = _nu_rows(factors, pick)
-    rows = family.chi_matrix()[pick]
-    rebuilt = _phase_rows(factors, nu, family.cfg)
-    if rows.shape != rebuilt.shape or not np.abs(rows - rebuilt).max() <= 1e-12:
-        raise DomainError(f"{family.kind} family rows do not match the recipe in its meta")
+    chi = family.chi_matrix()
+    rows = max(1, 2 ** 16 // family.n)  # as in seqforge._phase_rows: transients near 1 MiB
+    for lo in range(0, len(pick), rows):
+        stored = chi[pick[lo:lo + rows]]
+        rebuilt = _phase_rows(factors, nu[lo:lo + rows], family.cfg)
+        if stored.shape != rebuilt.shape or not np.abs(stored - rebuilt).max() <= 1e-12:
+            raise DomainError(f"{family.kind} family rows do not match the recipe in its meta")
     index = np.zeros((len(pick), len(pick)), dtype=np.intp)
+    term = np.empty_like(index)
     for col, a, w in zip(nu.T, factors, np.cumprod([1, *factors[:-1]])):
-        index += ((col[:, None] - col[None, :]) % a) * w
+        np.subtract.outer(col, col, out=term)
+        np.mod(term, a, out=term)
+        term *= w
+        index += term
     # n = sum_m l_m phi_m puts digit l_0 on the fastest axis: factors reversed
     phases = _tap_phases(family.n, profile, delta_f_hz).reshape(-1, *factors[::-1])
     table = np.fft.ifftn(phases, axes=range(1, len(factors) + 1)).reshape(-1, family.n)
-    return _LeakageTables(table, index, _noise_colour((index == 0).astype(float)), "recipe")
+    return _LeakageTables(table, index, None, "recipe")
 
 
 def _dense_tables(q_matrix: np.ndarray, profile: ChannelProfile,
@@ -288,9 +304,14 @@ def _closed_forms(sigma_fie: np.ndarray, sigma_c: float, beta: float,
     """Exact p_fa, p_fid (per requested index and mean) and p_c for the
     exponential correlator statistics with the given leakage variances."""
     j = sigma_fie.shape[0]
-    # P(|y_i|^2 > beta) for every i != k at once; column k averages over i
-    p_false = np.exp(-beta * phi / (1.0 + phi * sigma_fie),
-                     where=~np.eye(j, dtype=bool), out=np.zeros((j, j)))
+    # P(|y_i|^2 > beta) for every i != k at once, in one buffer; column k
+    # averages over i, summed row by row as the buffer is C-ordered whatever
+    # the layout of sigma_fie
+    p_false = np.multiply(sigma_fie, phi, out=np.empty((j, j)))
+    p_false += 1.0
+    np.divide(-beta * phi, p_false, out=p_false)
+    np.exp(p_false, out=p_false)
+    np.fill_diagonal(p_false, 0.0)
     per_k = p_false.sum(axis=0) / (j - 1)
     return {
         "p_fa": math.exp(-beta * phi),
@@ -378,16 +399,22 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
     draws only |w|^2, an exponential of mean 1/snr.  The closed forms read
     the same tables.
 
-    The tap sum depends on the table width W.  For W <= 2J (a recipe family
-    picked at J >= N/2) the b x W product of the gains and the table is
-    formed once per batch and gathered at index[k_b, :] + b W, then freed
-    before the noise is drawn; otherwise the L taps are gathered from the
-    table one at a time.  `config_echo["tap_sum"]` says which ran.
+    Each batch runs its request trials, then its no-request trials, in row
+    blocks of max(1, BLOCK // J) trials, about 2^14 complex outputs (256 KiB)
+    per block.  Besides the O(L N + J^2) tables and variances, a run holds
+    one block's outputs and its batch's k and gains, not b x J arrays.  The
+    tap sum depends on the table width W.  For W <= 2J (a recipe family
+    picked at J >= N/2) the r x W product of a block's gains and the table
+    is formed and gathered at index[k_r, :] + r W; otherwise the L taps are
+    gathered from the table one at a time.  `config_echo["tap_sum"]` says
+    which ran.
 
     All randomness derives from (seed, SNR index, batch index) Philox keys,
     drawn in the order k, tap gains, request noise, no-request noise, so a
     rerun of the same config is bit-identical and two families with the
-    same J consume the same white draws (common random numbers).  Complex
+    same J consume the same white draws (common random numbers).  A
+    Generator fills its arrays in C order, so the blocks in turn draw
+    exactly a whole batch's noise: the block size changes no tally.  Complex
     draws are pairs of standard normals, so the seeded numbers differ from
     versions that drew them from uniforms by the polar form.
 
@@ -409,11 +436,9 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
     colour = tables.colour
     tap_p = np.sqrt(np.asarray(cfg.profile.powers))
     width = tables.table.shape[1]
-    # one product of the gains by a narrow table beats L gathers over b x J
+    # one product of the gains by a narrow table beats L gathers over the block
     product = width <= 2 * j
-    # reused buffers for the table positions of C_l[k, :] and, per tap, their gather
-    rows = np.empty((min(BATCH, cfg.trials), j), dtype=np.intp)
-    tap = None if product else np.empty((min(BATCH, cfg.trials), j), dtype=complex)
+    rows = max(1, BLOCK // j)  # trials per block of correlator outputs
 
     per_snr = []
     for snr_idx, snr_db in enumerate(cfg.snr_db_list):
@@ -427,32 +452,31 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             b = min(BATCH, cfg.trials - done)
             rng = _batch_rng(cfg.seed, snr_idx, batch_idx)
             # draws depend on J only: k, tap gains, request noise, then
-            # no-request noise, in that order
+            # no-request noise, in that order; the noise of the blocks in
+            # turn is the batch's noise in C order
             ks = rng.integers(0, j, size=b)
             gains = _cscg(rng, (b, len(tap_p))) * tap_p
-            at = rows[:b]
-            np.take(tables.index, ks, axis=0, out=at, mode="clip")
-            if product:
-                # row b of the b x W product at index[k_b, :]; the product is
-                # freed before the noise is drawn
-                at += np.arange(b)[:, None] * width
-                y = np.take((gains @ tables.table).reshape(-1), at, mode="clip")
-                y += _noise(rng, (b, j), noise_var, colour)
-            else:
-                y = _noise(rng, (b, j), noise_var, colour)
-                buf = tap[:b]
-                for l in range(len(tap_p)):
-                    np.take(tables.table[l], at, out=buf, mode="clip")
-                    buf *= gains[:, l, None]
-                    y += buf
-            hits = np.abs(y) ** 2 > beta
-            own = hits[np.arange(b), ks]
-            fid = hits.sum(axis=1) - own
-            c_count += int(own.sum())
-            fid_sum += int(fid.sum())
-            fid_sq += int((fid * fid).sum())
-            y = hits = None  # free the request outputs before the next draw
-            fa_count += int((_noise_energy(rng, (b, j), noise_var, colour) > beta).sum())
+            for lo in range(0, b, rows):
+                k, g = ks[lo:lo + rows], gains[lo:lo + rows]
+                at = np.take(tables.index, k, axis=0, mode="clip")
+                if product:
+                    # row r of the r x W product at index[k_r, :]
+                    at += np.arange(len(k))[:, None] * width
+                    y = np.take((g @ tables.table).reshape(-1), at, mode="clip")
+                    y += _noise(rng, at.shape, noise_var, colour)
+                else:
+                    y = _noise(rng, at.shape, noise_var, colour)
+                    for l in range(len(tap_p)):
+                        y += np.take(tables.table[l], at, mode="clip") * g[:, l, None]
+                hits = np.abs(y) ** 2 > beta
+                own = hits[np.arange(len(k)), k]
+                fid = hits.sum(axis=1) - own
+                c_count += int(own.sum())
+                fid_sum += int(fid.sum())
+                fid_sq += int((fid * fid).sum())
+            for lo in range(0, b, rows):
+                shape = (min(rows, b - lo), j)
+                fa_count += int((_noise_energy(rng, shape, noise_var, colour) > beta).sum())
             done += b
             batch_idx += 1
         t = cfg.trials

@@ -77,11 +77,11 @@ class WaveformConfig:
     def pulse_duration(self) -> float:
         return 1.0 + float(self.alpha)
 
-    def tone_twist(self, n: int) -> np.ndarray:
-        """exp(-2j pi k alpha gamma) for k = 0..n-1, with k alpha gamma
+    def tone_twist(self, stop: int, start: int = 0) -> np.ndarray:
+        """exp(-2j pi k alpha gamma) for k = start..stop-1, with k alpha gamma
         reduced mod 1 exactly before the one trig call per entry."""
         ag = self.alpha_gamma
-        frac = (np.arange(n, dtype=np.int64) * ag.numerator) % ag.denominator
+        frac = (np.arange(start, stop, dtype=np.int64) * ag.numerator) % ag.denominator
         return np.exp(-2j * np.pi * frac / ag.denominator)
 
 

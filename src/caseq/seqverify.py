@@ -4,10 +4,11 @@ Everything here re-derives properties from the raw sequence values:
 constant amplitude, zero periodic autocorrelation of the inverse DFT,
 pairwise orthogonality, and the sidelobe-decay order measured as the
 number of leading vanishing index-power moments.  Each check takes rows of
-the J x N member matrix in bulk: ifft(|chi|^2) by one rfft per row, all moments
-by one product chi @ P^T with P[beta, n] = n^beta, and the Gram in row blocks
-over its upper triangle.  amplitude_checks and
-sd_orders return per-row results, which check_family reduces to one report.
+the J x N member matrix in bulk: ifft(|chi|^2) by one rfft per row, all
+moments by products chi @ P^T with P[beta, n] = n^beta over column blocks of
+2^16 indices, and the Gram in row blocks over its upper triangle.
+amplitude_checks and sd_orders return per-row results, which check_family
+reduces to one report.
 For unit-modulus chi a moment's rounding error is at most about
 N u sum n^beta (u = 2^-53), five orders under MOMENT_RTOL at N <= 1151.
 """
@@ -25,6 +26,8 @@ from .seqforge import MAX_DENSE_TABLE_BYTES, DomainError, Family, WaveformConfig
 #: moments are called zero when below this times sum(n^beta)
 MOMENT_RTOL = 1e-8
 DEFAULT_BETA_CAP = 6
+#: column block of the moment sums: N <= 2^16 takes one block
+MOMENT_COLUMNS = 2 ** 16
 
 
 @dataclass
@@ -69,12 +72,20 @@ def _check_beta_cap(beta_cap: int):
 
 def _moments(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int) -> np.ndarray:
     """Per row sum_n n^beta chi[n], and under condition B the same times
-    w[n] = exp(-2j pi n alpha gamma): shape rows x (1 or 2) x (beta_cap + 1)."""
+    w[n] = exp(-2j pi n alpha gamma): shape rows x (1 or 2) x (beta_cap + 1).
+    The sums run over column blocks of MOMENT_COLUMNS indices, each block's
+    powers and twist formed for its own indices only."""
     n = chi.shape[1]
-    powers = np.arange(n, dtype=np.float64) ** np.arange(beta_cap + 1)[:, None]
-    if cfg.condition == "B":
-        powers = np.concatenate([powers, powers * cfg.tone_twist(n)])
-    return (chi @ powers.T).reshape(len(chi), -1, beta_cap + 1)
+
+    def block(lo: int) -> np.ndarray:
+        hi = min(lo + MOMENT_COLUMNS, n)
+        powers = np.arange(lo, hi, dtype=np.float64) ** np.arange(beta_cap + 1)[:, None]
+        if cfg.condition == "B":
+            powers = np.concatenate([powers, powers * cfg.tone_twist(hi, lo)])
+        return chi[:, lo:hi] @ powers.T
+
+    total = functools.reduce(np.add, map(block, range(0, n, MOMENT_COLUMNS)))
+    return total.reshape(len(chi), -1, beta_cap + 1)
 
 
 def sd_orders(chi: np.ndarray, cfg: WaveformConfig, beta_cap: int):

@@ -200,6 +200,27 @@ class TestRunSimulation:
         est_split = split.per_snr[0].mc["p_fa"][0]
         assert abs(est_full - est_split) < 5e-3
 
+    @pytest.mark.parametrize("path, j, echo", [
+        ("product", 138, ("recipe", "white", "product")),
+        ("per_tap", 32, ("recipe", "white", "per_tap")),
+        ("coloured", 30, ("dense", "coloured", "per_tap")),
+    ], ids=["product", "per_tap", "coloured"])
+    def test_row_blocks_change_no_draw(self, zc139, cfg_b139, monkeypatch, path, j, echo):
+        # blocks of 5 rows leave a remainder in both batches of BATCH + 904
+        # trials; the blocks in turn consume each batch's stream in C order
+        fam = zc139 if path == "coloured" else sf.build_family("pma", cfg_b139)
+        cfg = rc.RaSimConfig(family=fam, snr_db_list=[-4.0, 4.0], trials=rc.BATCH + 904,
+                             seed=17, profile=rc.ChannelProfile.shipped("umi"),
+                             j_sequences=j, p_fa_target=1e-2)
+        whole = rc.run_simulation(cfg)
+        monkeypatch.setattr(rc, "BLOCK", 5 * j)
+        small = rc.run_simulation(cfg)
+        got = whole.config_echo
+        assert (got["leakage"], got["noise"], got["tap_sum"]) == echo
+        assert small.config_echo == got
+        for a, b in zip(whole.per_snr, small.per_snr, strict=True):
+            assert (a.mc, a.closed_form) == (b.mc, b.closed_form)
+
     def test_subset_draw_is_seeded(self, apma139):
         a = rc._subset(apma139, 8, seed=3)
         b = rc._subset(apma139, 8, seed=3)
@@ -461,6 +482,17 @@ class TestLeakageTables:
         with pytest.raises(DomainError, match="recipe"):
             rc.run_simulation(cfg)
 
+    def test_rows_past_the_first_check_block_refused(self, cfg_b839):
+        # pma839 is checked 78 rows at a time: rows 500 and 501 lie in the seventh block
+        fam = sf.build_family("pma", cfg_b839)
+        rows = np.arange(len(fam))
+        rows[500], rows[501] = rows[501], rows[500]
+        swapped = dataclasses.replace(fam, sequences=fam.sequences[rows])
+        cfg = rc.RaSimConfig(family=swapped, snr_db_list=[0.0], trials=10, seed=1,
+                             profile=rc.ChannelProfile.flat_fading(), p_fa_target=1e-2)
+        with pytest.raises(DomainError, match="recipe"):
+            rc.run_simulation(cfg)
+
     def test_oversized_dense_tables_refused_up_front(self):
         # 30000 pn members would need an 8 x 30000^2 complex tensor (115 GB)
         fam = sf.build_family("pn", sf.WaveformConfig(13), count=30000, min_csd=1)
@@ -478,9 +510,9 @@ class TestLeakageTables:
         assert res.config_echo["table_bytes"] == (8 * 16 + 8) * 30 * 30
 
     def test_peak_memory_of_the_product_path(self, cfg_b839):
-        # pma839 at J = 838 sums its 839-column table in one product, which
-        # is freed before the noise is drawn: the traced peak stays below
-        # 3.5 blocks of b x J complex (the per-tap sum peaked at 3.96)
+        # pma839 at J = 838 holds its J x J index and variances and one row
+        # block of outputs at a time: the traced peak stays below six J x J
+        # float arrays (the batch-wide loop peaked at 77 MiB)
         fam = sf.build_family("pma", cfg_b839)
         cfg = rc.RaSimConfig(family=fam, snr_db_list=[2.0], trials=2048, seed=5,
                              profile=rc.ChannelProfile.shipped("umi"), p_fa_target=1e-2)
@@ -491,7 +523,7 @@ class TestLeakageTables:
         finally:
             tracemalloc.stop()
         assert echo["tap_sum"] == "product"
-        assert peak < 3.5 * 2048 * 838 * 16
+        assert peak < 6 * 838 * 838 * 8
 
 
 class TestNoiseDraws:

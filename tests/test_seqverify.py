@@ -117,6 +117,20 @@ class TestSdOrders:
         with pytest.raises(ValueError):
             _leader_order(sf.build_family("pma", cfg_a48), beta_cap=9)
 
+    def test_moments_in_column_blocks_stay_below_two_chi(self):
+        # one pma member at N = 2^20, condition A: 16 column blocks of 2^16,
+        # against 168 MiB for the powers and their complex cast in one piece
+        cfg = sf.WaveformConfig(2 ** 20, gamma=4, alpha=Fraction(1, 4))
+        chi = sf.build_family("pma", cfg, count=1).chi_matrix()
+        tracemalloc.start()
+        try:
+            orders, capped, _ = sv.sd_orders(chi, cfg, sv.DEFAULT_BETA_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (orders.tolist(), capped.tolist()) == ([sv.DEFAULT_BETA_CAP + 1], [True])
+        assert peak < 2 * chi.nbytes
+
 
 _B839 = sf.WaveformConfig(839, gamma=1, alpha=Fraction(33, 256))
 _GRAM_FAMILIES = {
