@@ -15,12 +15,15 @@ built from the family's recipe, and for every other family it is the dense
 tensor.  The trials of each keyed batch run in row blocks of about 2^14
 correlator outputs, so a run holds the O(L N + J^2) tables plus one block;
 the blocks draw the batch's numbers in order, so the block size changes no
-tally.  A table of at most 2J columns is multiplied by a block's tap gains
-whole; a wider one is gathered tap by tap.  Gains and request noise are
-complex Gaussians from normal draws.  Estimates come with one-sigma
-half-widths: z=1 Wilson intervals for p_fa and p_c, and the per-trial
-standard error for p_fid, whose J - 1 events in a trial share one channel
-draw.
+tally.  Each block's draws serve every SNR: a batch's numbers come from one
+SFC64 stream keyed by the seed and the batch index, so estimates at
+different SNRs share them (common random numbers) while the trials within
+an SNR are independent.  A table of at most 2J columns is multiplied by a
+block's tap gains whole; a wider one is gathered tap by tap.  Gains and
+request noise are complex Gaussians from normal draws.  Estimates come with
+one-sigma half-widths: z=1 Wilson intervals for p_fa and p_c, and the
+per-trial standard error for p_fid, whose J - 1 events in a trial share one
+channel draw.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import numpy as np
 from .factorlab import DomainError
 from .seqforge import MAX_DENSE_TABLE_BYTES, Family, _nu_rows, _phase_rows
 
-#: Monte Carlo batch size; tallies are merged per batch with a batch-derived
-#: substream, so results do not depend on how batches are scheduled.
+#: Monte Carlo batch size; tallies are merged per batch with a batch-keyed
+#: stream, so results do not depend on how batches are scheduled.
 BATCH = 4096
 #: correlator outputs per Monte Carlo block: a batch's trials run BLOCK // J
 #: at a time, so each block's complex outputs stay near 256 KiB
@@ -137,6 +140,8 @@ class RaSimConfig:
             raise DomainError(f"p_fa_target must be in (0, 1), got {self.p_fa_target}")
         if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0.0):
             raise DomainError(f"beta must be a finite positive threshold, got {self.beta}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
         if not all(math.isfinite(s) for s in self.snr_db_list):
             raise DomainError(f"SNRs must be finite, got {list(self.snr_db_list)}")
         if not (math.isfinite(self.delta_f_hz) and self.delta_f_hz > 0.0):
@@ -181,10 +186,12 @@ def _cscg(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
     return w.view(complex)[..., 0]
 
 
-def _batch_rng(seed: int, label: int, batch: int) -> np.random.Generator:
-    # Philox keys are two 64-bit words: (seed, substream) with the substream
-    # packing the per-SNR label and the batch index
-    return np.random.Generator(np.random.Philox(key=[seed, (label << 32) | batch]))
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of one keyed stream: SFC64 seeded by a SeedSequence of
+    the run seed and a spawn key.  Batch b draws from key (0, b) and the
+    member subset from (1,), so no two streams of a run share a key."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _tap_phases(n: int, profile: ChannelProfile, delta_f_hz: float) -> np.ndarray:
@@ -380,43 +387,49 @@ def _subset(family: Family, j: int, seed: int) -> np.ndarray:
     seeded draw from it."""
     if j == len(family):
         return np.arange(j)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0xC0FFEE]))
-    return np.sort(rng.choice(len(family), size=j, replace=False))
+    return np.sort(_rng(seed, 1).choice(len(family), size=j, replace=False))
 
 
 def run_simulation(cfg: RaSimConfig) -> RaResult:
     """Monte Carlo tallies with closed-form columns attached.
 
-    Per SNR: `trials` request trials (uniform requested index k, fresh
-    channel and noise) and `trials` no-request trials.  The J correlator
-    outputs are sampled directly: y = sum_l g_l C_l[k, :] + w for a request
-    and y = w without one, with tap gains g_l ~ CN(0, p_l), the leakage
-    C_l[k, i] = table[l, index[k, i]] of `_leakage_tables` built once per
-    run, and w white CN(0, 1/snr) noise times chol(M)^T, M = conj(Q) Q^T.
+    `trials` request trials (uniform requested index k, fresh channel and
+    noise) and `trials` no-request trials, drawn once and tallied at every
+    SNR.  The J correlator outputs are sampled directly:
+    y = sum_l g_l C_l[k, :] + sd w for a request and y = sd w without one,
+    with tap gains g_l ~ CN(0, p_l), the leakage C_l[k, i] =
+    table[l, index[k, i]] of `_leakage_tables` built once per run, w white
+    CN(0, 1) noise times chol(M)^T, M = conj(Q) Q^T, and sd = sqrt(1/snr).
     This is the distribution of correlating the N-tone observation
     sqrt(N) q_k*h + z against the candidates.  For orthogonal families M is
     the identity to 1e-9: the multiply is skipped, and a no-request trial
-    draws only |w|^2, an exponential of mean 1/snr.  The closed forms read
-    the same tables.
+    draws only |w|^2, a unit-mean exponential, which is a false alarm at an
+    SNR when it exceeds beta / sd^2 = beta snr.  The closed forms read the
+    same tables.
 
     Each batch runs its request trials, then its no-request trials, in row
     blocks of max(1, BLOCK // J) trials, about 2^14 complex outputs (256 KiB)
-    per block.  Besides the O(L N + J^2) tables and variances, a run holds
-    one block's outputs and its batch's k and gains, not b x J arrays.  The
-    tap sum depends on the table width W.  For W <= 2J (a recipe family
-    picked at J >= N/2) the r x W product of a block's gains and the table
-    is formed and gathered at index[k_r, :] + r W; otherwise the L taps are
-    gathered from the table one at a time.  `config_echo["tap_sum"]` says
-    which ran.
+    per block.  Each block forms its tap sum and its noise once, and then
+    tallies |y|^2 > beta at each SNR in turn into per-SNR integer counts.
+    Besides the O(L N + J^2) tables and variances, a run holds one block's
+    outputs and its batch's k and gains, not b x J arrays.  The tap sum
+    depends on the table width W.  For W <= 2J (a recipe family picked at
+    J >= N/2) the r x W product of a block's gains and the table is formed
+    and gathered at index[k_r, :] + r W; otherwise the L taps are gathered
+    from the table one at a time.  `config_echo["tap_sum"]` says which ran.
 
-    All randomness derives from (seed, SNR index, batch index) Philox keys,
-    drawn in the order k, tap gains, request noise, no-request noise, so a
-    rerun of the same config is bit-identical and two families with the
-    same J consume the same white draws (common random numbers).  A
-    Generator fills its arrays in C order, so the blocks in turn draw
-    exactly a whole batch's noise: the block size changes no tally.  Complex
-    draws are pairs of standard normals, so the seeded numbers differ from
-    versions that drew them from uniforms by the polar form.
+    All randomness derives from SFC64 streams keyed by (seed, batch index)
+    (`_rng`), drawn in the order k, tap gains, request noise, no-request
+    noise, so a rerun of the same config is bit-identical and two families
+    with the same J consume the same white draws.  Every SNR reads the same
+    draws (common random numbers), so an SNR's tallies do not depend on
+    which other SNRs are listed, or in what order; estimates at different
+    SNRs are correlated, while the trials within one SNR stay independent.
+    Under a p_fa target, beta snr = -ln p_fa at every SNR, so the p_fa
+    tally and its closed form are the same at every SNR.  A Generator fills
+    its arrays in C order, so the blocks in turn draw exactly a whole
+    batch's noise: the block size changes no tally.  Complex draws are pairs
+    of standard normals.
 
     The p_fa and p_c sigmas are z=1 Wilson half-widths about the estimate.
     The J - 1 false-identification events of a trial share its channel
@@ -440,58 +453,64 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
     product = width <= 2 * j
     rows = max(1, BLOCK // j)  # trials per block of correlator outputs
 
-    per_snr = []
-    for snr_idx, snr_db in enumerate(cfg.snr_db_list):
-        phi = 10.0 ** (snr_db / 10.0)
-        beta = cfg.beta_at(phi)
-        noise_var = 1.0 / phi
-        fa_count = c_count = fid_sum = fid_sq = 0
-        done = 0
-        batch_idx = 0
-        while done < cfg.trials:
-            b = min(BATCH, cfg.trials - done)
-            rng = _batch_rng(cfg.seed, snr_idx, batch_idx)
-            # draws depend on J only: k, tap gains, request noise, then
-            # no-request noise, in that order; the noise of the blocks in
-            # turn is the batch's noise in C order
-            ks = rng.integers(0, j, size=b)
-            gains = _cscg(rng, (b, len(tap_p))) * tap_p
-            for lo in range(0, b, rows):
-                k, g = ks[lo:lo + rows], gains[lo:lo + rows]
-                at = np.take(tables.index, k, axis=0, mode="clip")
-                if product:
-                    # row r of the r x W product at index[k_r, :]
-                    at += np.arange(len(k))[:, None] * width
-                    y = np.take((g @ tables.table).reshape(-1), at, mode="clip")
-                    y += _noise(rng, at.shape, noise_var, colour)
-                else:
-                    y = _noise(rng, at.shape, noise_var, colour)
-                    for l in range(len(tap_p)):
-                        y += np.take(tables.table[l], at, mode="clip") * g[:, l, None]
+    phis = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list]
+    betas = [cfg.beta_at(phi) for phi in phis]
+    # for unit-variance noise w, a request output is sig + sd w with noise of
+    # variance sd^2 = 1/snr, and a no-request trial is a false alarm when
+    # |w|^2 > beta phi
+    sds = [math.sqrt(1.0 / phi) for phi in phis]
+    fa_bounds = [beta * phi for beta, phi in zip(betas, phis)]
+    fa_count, c_count, fid_sum, fid_sq = ([0] * len(phis) for _ in range(4))
+    for batch_idx, done in enumerate(range(0, cfg.trials, BATCH)):
+        b = min(BATCH, cfg.trials - done)
+        rng = _rng(cfg.seed, 0, batch_idx)
+        # draws depend on J only: k, tap gains, request noise, then
+        # no-request noise, in that order; the noise of the blocks in turn
+        # is the batch's noise in C order, and every SNR reads the same draws
+        ks = rng.integers(0, j, size=b)
+        gains = _cscg(rng, (b, len(tap_p))) * tap_p
+        for lo in range(0, b, rows):
+            k, g = ks[lo:lo + rows], gains[lo:lo + rows]
+            at = np.take(tables.index, k, axis=0, mode="clip")
+            if product:
+                # row r of the r x W product at index[k_r, :]
+                at += np.arange(len(k))[:, None] * width
+                sig = np.take((g @ tables.table).reshape(-1), at, mode="clip")
+            else:
+                sig = np.take(tables.table[0], at, mode="clip") * g[:, :1]
+                for l in range(1, len(tap_p)):
+                    sig += np.take(tables.table[l], at, mode="clip") * g[:, l, None]
+            w = _noise(rng, at.shape, 1.0, colour)
+            y = np.empty_like(w)
+            for s, (sd, beta) in enumerate(zip(sds, betas)):
+                np.multiply(w, sd, out=y)
+                y += sig
                 hits = np.abs(y) ** 2 > beta
                 own = hits[np.arange(len(k)), k]
                 fid = hits.sum(axis=1) - own
-                c_count += int(own.sum())
-                fid_sum += int(fid.sum())
-                fid_sq += int((fid * fid).sum())
-            for lo in range(0, b, rows):
-                shape = (min(rows, b - lo), j)
-                fa_count += int((_noise_energy(rng, shape, noise_var, colour) > beta).sum())
-            done += b
-            batch_idx += 1
-        t = cfg.trials
-        n_fa = t * j
+                c_count[s] += int(own.sum())
+                fid_sum[s] += int(fid.sum())
+                fid_sq[s] += int((fid * fid).sum())
+        for lo in range(0, b, rows):
+            energy = _noise_energy(rng, (min(rows, b - lo), j), 1.0, colour)
+            for s, bound in enumerate(fa_bounds):
+                fa_count[s] += int(np.count_nonzero(energy > bound))
+
+    per_snr = []
+    t = cfg.trials
+    n_fa = t * j
+    for s, (snr_db, phi, beta) in enumerate(zip(cfg.snr_db_list, phis, betas)):
         # sample variance of the per-trial count, from exact integer sums
-        fid_var = (t * fid_sq - fid_sum * fid_sum) / (t * (t - 1))
+        fid_var = (t * fid_sq[s] - fid_sum[s] ** 2) / (t * (t - 1))
         mc = {
-            "p_fa": (fa_count / n_fa, wilson_sigma(fa_count, n_fa)),
-            "p_fid": (fid_sum / (t * (j - 1)), math.sqrt(fid_var / t) / (j - 1)),
-            "p_c": (c_count / t, wilson_sigma(c_count, t)),
+            "p_fa": (fa_count[s] / n_fa, wilson_sigma(fa_count[s], n_fa)),
+            "p_fid": (fid_sum[s] / (t * (j - 1)), math.sqrt(fid_var / t) / (j - 1)),
+            "p_c": (c_count[s] / t, wilson_sigma(c_count[s], t)),
         }
         cf = _closed_forms(sigma_fie, sigma_c, beta, phi)
         per_snr.append(RaSnrResult(
             snr_db=snr_db, beta=beta, mc=mc,
-            closed_form={k: cf[k] for k in ("p_fa", "p_fid", "p_c")}))
+            closed_form={m: cf[m] for m in ("p_fa", "p_fid", "p_c")}))
     return RaResult(
         config_echo={
             "n": fam.n, "j": j, "kind": fam.kind, "trials": cfg.trials,

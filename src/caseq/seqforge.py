@@ -210,9 +210,11 @@ def _nu_rows(factors: Sequence[int], members: Sequence[int]) -> np.ndarray:
 def solve_rotation(parts: Sequence[int]) -> RotationSolution:
     """Rotation phases making the part-length vectors sum to zero.
 
-    Bisection to 1e-9 on the first arc angle of the circumscribed circle of
-    the polygon with the part lengths as edges; feasible exactly when there
-    are at least 3 parts and no part reaches half the perimeter.
+    Bisection on the first arc angle of the circumscribed circle of the
+    polygon with the part lengths as edges, to the float limit: it stops
+    when the arcs close the circle exactly or the midpoint rounds to an end
+    of the bracket.  Feasible exactly when there are at least 3 parts and no
+    part reaches half the perimeter.
     """
     parts = tuple(parts)
     total = sum(parts)
@@ -232,14 +234,14 @@ def solve_rotation(parts: Sequence[int]) -> RotationSolution:
             arg = 1.0 - p * p / (2.0 * radius * radius)
             arcs.append(math.acos(max(-1.0, min(1.0, arg))))
         gap = sum(arcs) - 2.0 * math.pi
-        if abs(gap) <= 1e-9:
+        if gap == 0.0 or theta_mid in (theta_lo, theta_hi):
             break
         if gap < 0:
             theta_lo = theta_mid
         else:
             theta_hi = theta_mid
     else:
-        raise InfeasibleError("rotation bisection did not reach 1e-9")
+        raise InfeasibleError("rotation bisection did not converge in 200 steps")
     theta = [0.0]
     for rho in range(1, len(parts)):
         theta.append(theta[-1] + 0.5 * (arcs[rho - 1] + arcs[rho]))

@@ -275,9 +275,9 @@ def test_beta_cap_outside_domain_exits_2_with_one_line(family48, tmp_path, cmd, 
 
 @pytest.mark.parametrize("bad", [["--j", "1"], ["--j", "0"], ["--p-fa", "0"],
                                  ["--p-fa", "2"], ["--beta", "-1"], ["--snr=nan"],
-                                 ["--delta-f", "nan"]],
+                                 ["--delta-f", "nan"], ["--seed", "-1"]],
                          ids=["j_1", "j_0", "p_fa_0", "p_fa_2", "beta_negative", "snr_nan",
-                              "delta_f_nan"])
+                              "delta_f_nan", "seed_negative"])
 def test_bad_simulate_config_exits_2_with_one_line(family48, bad):
     _assert_exits_2_with_one_line(["simulate", "--family", str(family48),
                                    "--trials", "10", *bad])

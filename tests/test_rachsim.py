@@ -117,6 +117,15 @@ class TestClosedForms:
         assert abs(sigma_c - 139.0) < 1e-9
 
 
+# the three tap-sum and noise paths of run_simulation, as (path, J, echoed
+# leakage, noise and tap_sum)
+_PATHS = pytest.mark.parametrize("path, j, echo", [
+    ("product", 138, ("recipe", "white", "product")),
+    ("per_tap", 32, ("recipe", "white", "per_tap")),
+    ("coloured", 30, ("dense", "coloured", "per_tap")),
+], ids=["product", "per_tap", "coloured"])
+
+
 class TestRunSimulation:
     def test_mc_matches_closed_forms(self, apma139):
         cfg = rc.RaSimConfig(family=apma139, snr_db_list=[0.0], trials=60000,
@@ -147,7 +156,7 @@ class TestRunSimulation:
         # Kolmogorov-Smirnov against Exp(mean 1/phi) at the 1% level
         phi = 2.0
         q = apma139.sequences[0].q
-        rng = np.random.Generator(np.random.Philox(key=[31, 32]))
+        rng = rc._rng(31, 32)
         draws = 100000
         z = rc._cscg(rng, (draws, 139), variance=1.0 / phi)
         y = np.sort(np.abs(z @ np.conj(q)) ** 2)
@@ -162,7 +171,7 @@ class TestRunSimulation:
         q = apma139.q_matrix()[:4]
         sigma_fie, sigma_c = _sigmas(apma139, np.arange(4), prof)
         phi = 1.0
-        rng = np.random.Generator(np.random.Philox(key=[41, 42]))
+        rng = rc._rng(41, 42)
         trials = 60000
         k = 1
         gains = rc._cscg(rng, (trials, len(prof.delays_s))) * np.sqrt(
@@ -200,11 +209,7 @@ class TestRunSimulation:
         est_split = split.per_snr[0].mc["p_fa"][0]
         assert abs(est_full - est_split) < 5e-3
 
-    @pytest.mark.parametrize("path, j, echo", [
-        ("product", 138, ("recipe", "white", "product")),
-        ("per_tap", 32, ("recipe", "white", "per_tap")),
-        ("coloured", 30, ("dense", "coloured", "per_tap")),
-    ], ids=["product", "per_tap", "coloured"])
+    @_PATHS
     def test_row_blocks_change_no_draw(self, zc139, cfg_b139, monkeypatch, path, j, echo):
         # blocks of 5 rows leave a remainder in both batches of BATCH + 904
         # trials; the blocks in turn consume each batch's stream in C order
@@ -220,6 +225,52 @@ class TestRunSimulation:
         assert small.config_echo == got
         for a, b in zip(whole.per_snr, small.per_snr, strict=True):
             assert (a.mc, a.closed_form) == (b.mc, b.closed_form)
+
+    @_PATHS
+    def test_an_snr_stands_alone(self, zc139, cfg_b139, path, j, echo):
+        # every SNR is tallied from the same keyed draws, so the 2 dB entry
+        # is the same whichever SNRs are listed with it, and in what order
+        fam = zc139 if path == "coloured" else sf.build_family("pma", cfg_b139)
+        entries = []
+        for snrs in ([2.0], [-8.0, 2.0, 12.0], [12.0, 2.0]):
+            res = rc.run_simulation(rc.RaSimConfig(
+                family=fam, snr_db_list=snrs, trials=rc.BATCH + 904, seed=19,
+                profile=rc.ChannelProfile.shipped("umi"), j_sequences=j, p_fa_target=1e-2))
+            got = res.config_echo
+            assert (got["leakage"], got["noise"], got["tap_sum"]) == echo
+            entries.append(res.per_snr[snrs.index(2.0)])
+        alone = entries[0]
+        for entry in entries[1:]:
+            assert (entry.beta, entry.mc, entry.closed_form) == (
+                alone.beta, alone.mc, alone.closed_form)
+
+    @pytest.mark.parametrize("path, j, per_trial", [("white", 32, 8 + 2 * 32),
+                                                     ("coloured", 30, 8 + 3 * 30)])
+    def test_draws_do_not_grow_with_the_snrs(self, zc139, cfg_b139, monkeypatch, path, j,
+                                             per_trial):
+        # a work bound, not a wall-clock limit: each batch draws its gains
+        # and noise once for every SNR, so one SNR and three draw as many
+        # entries.  A trial draws L = 8 gains, J request noises and J
+        # no-request energies; a coloured energy counts its J complex draws too.
+        fam = zc139 if path == "coloured" else sf.build_family("pma", cfg_b139)
+        drawn = [0]
+
+        def counted(draw):
+            def wrapper(rng, shape, *args):
+                drawn[0] += int(np.prod(shape))
+                return draw(rng, shape, *args)
+            return wrapper
+
+        monkeypatch.setattr(rc, "_cscg", counted(rc._cscg))
+        monkeypatch.setattr(rc, "_noise_energy", counted(rc._noise_energy))
+        counts = []
+        for snrs in ([2.0], [-8.0, 2.0, 12.0]):
+            drawn[0] = 0
+            rc.run_simulation(rc.RaSimConfig(
+                family=fam, snr_db_list=snrs, trials=3000, seed=23,
+                profile=rc.ChannelProfile.shipped("umi"), j_sequences=j, p_fa_target=1e-2))
+            counts.append(drawn[0])
+        assert counts == [3000 * per_trial] * 2
 
     def test_subset_draw_is_seeded(self, apma139):
         a = rc._subset(apma139, 8, seed=3)
@@ -282,11 +333,12 @@ class TestRunSimulation:
             ({"p_fa_target": 1e-2, "snr_db_list": [math.inf]}, "SNR"),
             ({"p_fa_target": 1e-2, "delta_f_hz": math.nan}, "delta_f_hz"),
             ({"p_fa_target": 1e-2, "delta_f_hz": 0.0}, "delta_f_hz"),
+            ({"p_fa_target": 1e-2, "seed": -1}, "seed"),
         ]:
-            kwargs = {"snr_db_list": [0.0], "trials": 10, **bad}
+            kwargs = {"snr_db_list": [0.0], "trials": 10, "seed": 1, **bad}
             with pytest.raises(DomainError, match=match):
-                rc.RaSimConfig(family=apma139, seed=1,
-                               profile=rc.ChannelProfile.flat_fading(), **kwargs)
+                rc.RaSimConfig(family=apma139, profile=rc.ChannelProfile.flat_fading(),
+                               **kwargs)
 
 
 class TestCorrelatorModel:
@@ -331,7 +383,7 @@ class TestCorrelatorModel:
         q = zc139.q_matrix()
         n = q.shape[1]
         leak = rc._leakage(q, prof, 1250.0)
-        rng = np.random.Generator(np.random.Philox(key=[51, 52]))
+        rng = rc._rng(51, 52)
         k = int(rng.integers(0, len(q)))
         gains = rc._cscg(rng, len(prof.delays_s)) * np.sqrt(np.asarray(prof.powers))
         z = rc._cscg(rng, n, variance=0.5)
@@ -372,7 +424,7 @@ class TestCorrelatorModel:
         colour = rc._noise_colour(gram)
         assert colour is not None
         var, draws = 0.25, 40000
-        rng = np.random.Generator(np.random.Philox(key=[53, 54]))
+        rng = rc._rng(53, 54)
         w = rc._noise(rng, (draws, len(q)), var, colour)
         cov = w.T @ w.conj() / draws
         assert np.max(np.abs(cov - var * gram)) < 5 * var / math.sqrt(draws)
@@ -531,7 +583,7 @@ class TestNoiseDraws:
         # Re and Im each of variance var / 2, E[w^2] = 0; the bounds are five
         # standard errors of the sample moments over 200000 draws
         draws, var = 200000, 0.3
-        w = rc._cscg(np.random.Generator(np.random.Philox(key=[61, 62])), draws, var)
+        w = rc._cscg(rc._rng(61, 62), draws, var)
         se_var = var / 2 * math.sqrt(2.0 / draws)
         assert abs(np.var(w.real) - var / 2) < 5 * se_var
         assert abs(np.var(w.imag) - var / 2) < 5 * se_var
@@ -540,8 +592,7 @@ class TestNoiseDraws:
     def test_white_noise_energy_is_exponential(self):
         # Kolmogorov-Smirnov against Exp(mean var) at the 1% level
         draws, var = 100000, 0.3
-        energy = rc._noise_energy(np.random.Generator(np.random.Philox(key=[61, 62])),
-                                  draws, var, None)
+        energy = rc._noise_energy(rc._rng(61, 62), draws, var, None)
         cdf = 1.0 - np.exp(-np.sort(energy) / var)
         empirical = (np.arange(1, draws + 1) - 0.5) / draws
         assert np.max(np.abs(cdf - empirical)) < 1.63 / math.sqrt(draws)

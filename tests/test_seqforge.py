@@ -122,6 +122,19 @@ class TestRotation:
         assert np.allclose([math.degrees(t) for t in sol.theta],
                            [0.0, 120.0, 240.0], atol=1e-6)
 
+    @pytest.mark.parametrize("kind, n, kappa, parts", [
+        ("adpma", 839, 1, (396, 243, 200)),
+        ("apma", 1151, 0, None),
+    ])
+    def test_augmented_families_orthogonal_to_rounding(self, kind, n, kappa, parts):
+        # the bisection runs to the float limit, so a rotated copy is
+        # orthogonal to its original to rounding
+        cfg = sf.WaveformConfig(n, gamma=1, alpha=Fraction(33, 256))
+        decomp = fl.Decomposition.from_parts(n, parts) if parts else None
+        fam = sf.build_family(kind, cfg, kappa=kappa, decomp=decomp)
+        assert sv.check_family(fam).gram_max_offdiag < 1e-15
+        assert fam.meta["rotation_residual"] < 1e-12
+
     def test_infeasible_cases(self):
         with pytest.raises(InfeasibleError):
             sf.solve_rotation((10, 4, 4))  # max part is half the total
