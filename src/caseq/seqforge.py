@@ -175,18 +175,23 @@ def _phase_rows(factors: Sequence[int], nus: np.ndarray, cfg: WaveformConfig) ->
     Index n decomposes in the mixed radix over the factors with digit weights
     phi_0 = 1, phi_m = prod(factors[:m]); digit m contributes phase
     2*pi*nu_m*l_m/A_m, and under a fractional alpha*gamma the odd digits add
-    2*pi*alpha*gamma*l_m*phi_m.  The phases stay integer numerators k over one
-    common denominator D: chi is roots_D[k mod D], gathered from one table of
-    the D-th roots of unity when D is at most the number of entries, and the
-    exp of each entry otherwise."""
+    2*pi*alpha*gamma*l_m*phi_m.  The phases stay integer numerators k over
+    their least common denominator D, the lcm of the factors and of each
+    twisted digit's reduced alpha*gamma*phi_m (D = N for a prime N, whatever
+    alpha): chi is roots_D[k mod D], gathered from one table of the D-th roots
+    of unity when D is at most the number of entries, and the exp of each
+    entry otherwise.  k/D is one correctly rounded division, so any common
+    denominator gives the same chi bit for bit; the least one keeps the table
+    small."""
     weights = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
     ag, twisted = cfg.alpha_gamma, cfg.condition == "B"
-    denom = math.lcm(*factors, ag.denominator if twisted else 1)
+    # phi_m of each twisted digit and 0 for the others, whose reduced denominator is 1
+    tw = [w if twisted and m % 2 else 0 for m, w in enumerate(weights)]
+    denom = math.lcm(*factors, *(ag.denominator // math.gcd(ag.denominator, w) for w in tw))
     n_index = np.arange(math.prod(factors))
     digits = np.array([(n_index // w) % a for w, a in zip(weights, factors)])
     # numerator coefficient of digit l_m in row j: nu_jm * denom/A_m plus the twist
-    twist = [ag.numerator * (denom // ag.denominator) * w if twisted and m % 2 else 0
-             for m, w in enumerate(weights)]
+    twist = [ag.numerator * w * denom // ag.denominator for w in tw]
     coef = nus.astype(np.int64) * [denom // a for a in factors] + twist
     roots = _roots_of_unity(denom) if denom <= len(nus) * len(n_index) else None
     chi = np.empty((len(nus), len(n_index)), dtype=complex)

@@ -545,6 +545,18 @@ class TestLeakageTables:
         with pytest.raises(DomainError, match="recipe"):
             rc.run_simulation(cfg)
 
+    def test_recipe_check_gathers_from_the_root_table(self, cfg_b839, monkeypatch):
+        # pma839 under B has D = 839, at most the 78 x 839 entries of a check
+        # block: each block gathers its rows from the table, none calls exp per entry
+        fam = sf.build_family("pma", cfg_b839)
+        calls = []
+        unit_phases = sf._unit_phases
+        monkeypatch.setattr(sf, "_unit_phases", lambda *a: calls.append(a) or unit_phases(*a))
+        tables = rc._leakage_tables(fam, np.arange(len(fam)), rc.ChannelProfile.shipped("umi"),
+                                    1250.0)
+        assert tables.source == "recipe"
+        assert calls == []
+
     def test_oversized_dense_tables_refused_up_front(self):
         # 30000 pn members would need an 8 x 30000^2 complex tensor (115 GB)
         fam = sf.build_family("pn", sf.WaveformConfig(13), count=30000, min_csd=1)

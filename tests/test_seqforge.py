@@ -394,7 +394,11 @@ class TestMatrixBuildBitIdentical:
         ("adpma", 139, 1, (50, 45, 44), None),
         ("adpma", 139, 1, (50, 45, 44), 37),
         ("hat_dpma", 571, 2, (225, 196, 150), None),
-        ("pma", 839, 0, None, None),  # B: D = 214784 <= J x N, phases from the root table
+        ("pma", 839, 0, None, None),  # B: D = 839 <= J x N, phases from the root table
+        ("pma", 1151, 0, None, None),  # B: D = 1151, where the oracle's lcm is 256 x 1151
+        # B: parts 48 = 4x3x2x2 and 36 = 4x3x3 twist only digit 1, phi_1 = 4, so D = 192,
+        # not 768: at J = 6 their phases come from the table, the oracle's from exp
+        ("hat_dpma", 139, 1, (55, 48, 36), None),
     ])
     def test_family_matches_member_by_member_oracle(self, cond, kind, n, kappa, parts, count):
         cfg = sf.WaveformConfig(n_seq=n, **cond)
@@ -450,20 +454,32 @@ class TestRootTable:
         assert table.tobytes() == sf._unit_phases(np.arange(denom), denom).tobytes()
 
     @pytest.mark.parametrize("count, table", [(None, True), (256, True), (255, False), (10, False)])
-    def test_table_only_when_denominator_fits_the_entries(self, monkeypatch, cfg_b839,
-                                                          count, table):
-        # pma839 under B: D = lcm(839, 256) = 214784 = 256 x 839, so 256 rows take the table
-        full = sf.build_family("pma", cfg_b839).chi_matrix()
+    def test_table_only_when_denominator_fits_the_entries(self, monkeypatch, count, table):
+        # pma1155 under B: factors 11, 7, 5, 3, so the twisted digits 1 and 3 have the odd
+        # weights 11 and 385 and D = 256 x 1155: 256 of its 480 rows take the table
+        cfg = sf.WaveformConfig(n_seq=1155, gamma=1, alpha=Fraction(33, 256))
+        full = sf.build_family("pma", cfg).chi_matrix()
         calls = _count_calls(monkeypatch, sf, "_roots_of_unity", "_unit_phases")
-        fam = sf.build_family("pma", cfg_b839, count=count)
-        blocks = -(-len(fam) // (2 ** 16 // 839))
+        fam = sf.build_family("pma", cfg, count=count)
+        blocks = -(-len(fam) // (2 ** 16 // 1155))
         assert calls == ({"_roots_of_unity": 1, "_unit_phases": 0} if table
                          else {"_roots_of_unity": 0, "_unit_phases": blocks})
         assert fam.chi_matrix().tobytes() == full[:len(fam)].tobytes()
 
+    @pytest.mark.parametrize("n", [839, 1151])
+    def test_prime_length_table_has_n_entries(self, monkeypatch, n):
+        # a single factor has no twisted digit: D = N under B, not 256 N
+        tables = []
+        roots_of_unity = sf._roots_of_unity
+        monkeypatch.setattr(sf, "_roots_of_unity",
+                            lambda d: tables.append(d) or roots_of_unity(d))
+        sf.build_family("pma", sf.WaveformConfig(n_seq=n, gamma=1, alpha=Fraction(33, 256)))
+        assert tables == [n]
+
     def test_build_peak_memory_is_stack_and_table(self, cfg_b839):
-        """The pma839 build holds its J x N stack, the D-entry table and block
-        transients of about 1 MiB: at most the stack plus the table plus 2 MiB."""
+        """The pma839 build holds its J x N stack, the D-entry table (D = 839)
+        and block transients of about 1 MiB: at most the stack plus the table
+        plus 2 MiB."""
         sf.build_family("pma", cfg_b839)  # factor set and caches outside the trace
         tracemalloc.start()
         try:
@@ -471,8 +487,7 @@ class TestRootTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        denom = math.lcm(839, 256)
-        assert peak <= 16 * len(fam) * fam.n + 16 * denom + 2 * 2 ** 20
+        assert peak <= 16 * len(fam) * fam.n + 16 * 839 + 2 * 2 ** 20
 
 
 def _shifted_nu(fam, index, shift):
