@@ -9,13 +9,14 @@ Carlo samples these J numbers directly from the leakage tensor C_l and
 coloured J-dimensional noise (white when the candidates are orthogonal),
 and the closed-form false-alarm, false-identification and
 correct-identification probabilities read their variances from the same
-tensor.  The tensor is held as a lookup, C_l[k, i] = table[l, index[k, i]]:
-for a flat phase-assigned family the table has one entry per tone and tap,
-built from the family's recipe, and for every other family it is the dense
-tensor.  The trials of each keyed batch run in row blocks of about 2^14
-correlator outputs, so a run holds the O(L N + J^2) tables plus one block;
-the blocks draw the batch's numbers in order, so the block size changes no
-tally.  Each block's draws serve every SNR: a batch's numbers come from one
+tensor.  The tensor is held as a lookup, C_l[k, i] = table[l, index[k, i]],
+built from the family's recipe: one entry per tone and tap for a flat
+family, the dense tensor for a concatenated or multiroot zc one.  Any other
+family (pn, or one without its recipe) gets the dense tensor of products.
+The trials of each keyed batch run in row blocks of about 2^14 correlator
+outputs, so a run holds the O(L N + J^2) tables plus one block; the blocks
+draw the batch's numbers in order, so the block size changes no tally.
+Each block's draws serve every SNR: a batch's numbers come from one
 SFC64 stream keyed by the seed and the batch index, so estimates at
 different SNRs share them (common random numbers) while the trials within
 an SNR are independent.  A table of at most 2J columns is multiplied by a
@@ -29,6 +30,7 @@ channel draw.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import json
 import math
 import warnings
@@ -39,7 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .factorlab import DomainError
-from .seqforge import MAX_DENSE_TABLE_BYTES, Family, _nu_rows, _phase_rows
+from .seqforge import (MAX_DENSE_TABLE_BYTES, Family, _nu_rows, _phase_rows, _zc_rows,
+                       build_zc_sequence)
 
 #: Monte Carlo batch size; tallies are merged per batch with a batch-keyed
 #: stream, so results do not depend on how batches are scheduled.
@@ -228,6 +231,35 @@ class _LeakageTables:
     source: str         # "recipe" or "dense"
 
 
+def _digit_index(factors: Sequence[int], nu: np.ndarray) -> np.ndarray:
+    """Where q_k conj(q_i) reads a `_digit_table`: sum_m ((nu_km - nu_im) mod A_m) phi_m."""
+    index = np.zeros((len(nu), len(nu)), dtype=np.intp)
+    term = np.empty_like(index)
+    for col, a, w in zip(nu.T, factors, np.cumprod([1, *factors[:-1]])):
+        np.subtract.outer(col, col, out=term)
+        np.mod(term, a, out=term)
+        term *= w
+        index += term
+    return index
+
+
+def _digit_table(phases: np.ndarray, factors: Sequence[int]) -> np.ndarray:
+    """The ifftn of each row of phases over the mixed-radix digits of its columns."""
+    # n = sum_m l_m phi_m puts digit l_0 on the fastest axis: factors reversed
+    shaped = phases.reshape(len(phases), *factors[::-1])
+    return np.fft.ifftn(shaped, axes=range(1, len(factors) + 1)).reshape(len(phases), -1)
+
+
+def _check_rows(family: Family, pick: np.ndarray, rebuild, cols=slice(None)) -> None:
+    """Refuse picked rows whose cols are more than 1e-12 from rebuild(s), the recipe's
+    at positions s of pick, rather than simulate them under the wrong model."""
+    step = max(1, 2 ** 16 // family.n)  # as in seqforge._phase_rows: transients near 1 MiB
+    for at in (slice(lo, lo + step) for lo in range(0, len(pick), step)):
+        stored, rebuilt = family.chi_matrix()[pick[at], cols], rebuild(at)
+        if stored.shape != rebuilt.shape or not np.abs(stored - rebuilt).max() <= 1e-12:
+            raise DomainError(f"{family.kind} family rows do not match the recipe in its meta")
+
+
 def _recipe_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
                    delta_f_hz: float) -> _LeakageTables:
     """Tables of a flat phase-assigned family from its factor set and nu.
@@ -235,34 +267,54 @@ def _recipe_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
     q_k conj(q_i) = N^-1 exp(2j pi sum_m (nu_km - nu_im) l_m / A_m): the sign
     and the condition-B twist cancel.  So C_l[k, i] = G_l[d], where G_l is
     sqrt(N) times the ifftn of tap l's phases over the mixed-radix digits
-    and d = sum_m ((nu_km - nu_im) mod A_m) phi_m, phi_m = prod(factors[:m]):
-    an L x N table.  M[i, k] is 1 where d = 0 and 0 elsewhere: the picked
-    nu are distinct, so M is the identity and the noise is white.  The
-    picked rows are first checked against the recipe in row blocks, at
-    O(J N) time, so a family whose rows and meta disagree is refused rather
-    than simulated under the wrong model; index is then summed in place with
-    one J x J work array.
+    and d is the `_digit_index`: an L x N table.  M[i, k] is 1 where d = 0
+    and 0 elsewhere: the picked nu are distinct, so M is the identity and
+    the noise is white.  The picked rows are first checked against the recipe.
     """
     factors = family.meta["factor_set"]
     nu = _nu_rows(factors, pick)
-    chi = family.chi_matrix()
-    rows = max(1, 2 ** 16 // family.n)  # as in seqforge._phase_rows: transients near 1 MiB
-    for lo in range(0, len(pick), rows):
-        stored = chi[pick[lo:lo + rows]]
-        rebuilt = _phase_rows(factors, nu[lo:lo + rows], family.cfg)
-        if stored.shape != rebuilt.shape or not np.abs(stored - rebuilt).max() <= 1e-12:
-            raise DomainError(f"{family.kind} family rows do not match the recipe in its meta")
-    index = np.zeros((len(pick), len(pick)), dtype=np.intp)
-    term = np.empty_like(index)
-    for col, a, w in zip(nu.T, factors, np.cumprod([1, *factors[:-1]])):
-        np.subtract.outer(col, col, out=term)
-        np.mod(term, a, out=term)
-        term *= w
-        index += term
-    # n = sum_m l_m phi_m puts digit l_0 on the fastest axis: factors reversed
-    phases = _tap_phases(family.n, profile, delta_f_hz).reshape(-1, *factors[::-1])
-    table = np.fft.ifftn(phases, axes=range(1, len(factors) + 1)).reshape(-1, family.n)
-    return _LeakageTables(table, index, None, "recipe")
+    _check_rows(family, pick, lambda s: _phase_rows(factors, nu[s], family.cfg))
+    table = _digit_table(_tap_phases(family.n, profile, delta_f_hz), factors)
+    return _LeakageTables(table, _digit_index(factors, nu), None, "recipe")
+
+
+def _hat_tensor(family: Family, pick: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """C[l, k, i] of a concatenated family from its recipe, a slice per row of phases.
+
+    Member k is base member b_k = k mod S (the base size), rotated by r_kp =
+    exp(i theta_p) in part p when k >= S, else r_kp = 1.  So C[l, k, i] = sum_p
+    r_kp conj(r_ip) T_pl[d_p[k, i]]: T_pl is N_p / N times the `_digit_table` of
+    part p's columns of row l, d_p its `_digit_index` of b_k and b_i."""
+    factor_sets, parts = family.meta["factor_sets"], family.meta["decomposition"]
+    size = min(math.prod(a - 1 for a in f) for f in factor_sets)
+    turn = np.exp(1j * np.radians(family.meta.get("theta_degrees", [0.0] * len(parts))))
+    rot = np.where((pick >= size)[:, None], turn, 1.0)  # J x P
+    tensor = np.zeros((len(phases), len(pick), len(pick)), dtype=complex)
+    for f, stop, length, r in zip(factor_sets, np.cumsum(parts), parts, rot.T):
+        nu, cols = _nu_rows(f, pick % size), slice(stop - length, stop)
+        _check_rows(family, pick, lambda s: _phase_rows(f, nu[s], family.cfg) * r[s, None], cols)
+        table = _digit_table(phases[:, cols], f) * (length / family.n)
+        index, pair = _digit_index(f, nu), np.outer(r, r.conj())
+        for c, row in zip(tensor, table):
+            c += row[index] * pair
+    return tensor
+
+
+def _zc_tensor(family: Family, pick: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """C[l, k, i] of a multiroot zc family from its recipe, a slice per row of phases.
+
+    chi_k = b_k exp(2j pi s_k n / N), b_k the sequence of its root, so C[l, k, i]
+    is entry (s_k - s_i) mod N of the ifft of b_k conj(b_i) times row l."""
+    members = [family.meta["members"][p] for p in pick]
+    _check_rows(family, pick, lambda s: _zc_rows(members[s], family.cfg))
+    roots, shifts = np.array([(m["root"], m["cyclic_shift"]) for m in members]).T
+    lag = np.subtract.outer(shifts, shifts) % family.n
+    tensor = np.empty((len(phases), len(pick), len(pick)), dtype=complex)
+    bases = {r: build_zc_sequence(r, family.n, family.cfg).chi for r in set(roots.tolist())}
+    for ra, rb in itertools.product(bases, repeat=2):
+        k, i = np.flatnonzero(roots == ra)[:, None], np.flatnonzero(roots == rb)
+        tensor[:, k, i] = np.fft.ifft(bases[ra] * bases[rb].conj() * phases)[:, lag[k, i]]
+    return tensor
 
 
 def _dense_tables(q_matrix: np.ndarray, profile: ChannelProfile,
@@ -277,17 +329,25 @@ def _dense_tables(q_matrix: np.ndarray, profile: ChannelProfile,
 
 def _leakage_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
                     delta_f_hz: float) -> _LeakageTables:
-    """Tables of the picked members: from the recipe of a flat family that
-    carries one (factor_set in its meta), dense otherwise."""
+    """Tables of the picked members: `_recipe_tables` for a flat family; the dense
+    form from the recipe of a concatenated (factor_sets) or multiroot zc (members)
+    one, whose zero-delay row sqrt(N) 1 before the taps gives sqrt(N) M^T for the
+    noise colour; `_dense_tables` for any other family or one without its recipe."""
     if "factor_set" in family.meta:
         return _recipe_tables(family, pick, profile, delta_f_hz)
-    j = len(pick)
+    j, n = len(pick), family.n
     need = (16 * len(profile.delays_s) + 8) * j * j
     if need > MAX_DENSE_TABLE_BYTES:
         raise DomainError(
             f"{j} {family.kind} sequences need {need / 2 ** 30:.1f} GiB of dense leakage "
             f"tables, above the limit of {MAX_DENSE_TABLE_BYTES / 2 ** 30:g} GiB")
-    return _dense_tables(family.sequences[pick].q, profile, delta_f_hz)
+    if "factor_sets" not in family.meta and "members" not in family.meta:
+        return _dense_tables(family.sequences[pick].q, profile, delta_f_hz)
+    build = _hat_tensor if "factor_sets" in family.meta else _zc_tensor
+    tensor = build(family, pick, np.vstack([np.full(n, math.sqrt(n)),
+                                            _tap_phases(n, profile, delta_f_hz)]))
+    return _LeakageTables(tensor[1:].reshape(-1, j * j), np.arange(j * j).reshape(j, j),
+                          _noise_colour(tensor[0].T / math.sqrt(n)), "recipe")
 
 
 def _variances(tables: _LeakageTables, powers: Sequence[float]) -> tuple[np.ndarray, float]:

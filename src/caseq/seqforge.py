@@ -436,6 +436,15 @@ def build_zc_sequence(root: int, n: int, cfg: WaveformConfig | None = None) -> C
     return CaSequence(_signs(n, cfg.gamma) * zc, cfg)
 
 
+def _zc_rows(members: Sequence[dict], cfg: WaveformConfig) -> np.ndarray:
+    """chi of the given zc members, each {"root", "cyclic_shift"}: the root's
+    sequence times exp(2j pi s n / N), its phases by s n mod N."""
+    n = cfg.n_seq
+    bases = {r: build_zc_sequence(r, n, cfg).chi for r in {m["root"] for m in members}}
+    shifts = np.outer([m["cyclic_shift"] for m in members], np.arange(n)) % n
+    return np.array([bases[m["root"]] for m in members]) * _roots_of_unity(n)[shifts]
+
+
 def build_multiroot_zc_family(cfg: WaveformConfig, count: int, min_csd: int,
                               roots: Sequence[int] = (1, 2)) -> Family:
     """Baseline of cyclically shifted Zadoff-Chu sequences.
@@ -453,11 +462,8 @@ def build_multiroot_zc_family(cfg: WaveformConfig, count: int, min_csd: int,
     _check_chi_size("zc", count, n)
     used = [{"root": root, "cyclic_shift": k * min_csd}
             for root in roots for k in range(per_root)][:count]
-    bases = {m["root"]: build_zc_sequence(m["root"], n, cfg).chi for m in used}
-    shifts = np.outer([m["cyclic_shift"] for m in used], np.arange(n)) % n  # phases by s n mod N
-    chi = np.array([bases[m["root"]] for m in used]) * _roots_of_unity(n)[shifts]
-    return Family(sequences=CaSequence(chi, cfg), kind="zc", cfg=cfg, sd_order_bound=0,
-                  family_csd=min_csd,
+    return Family(sequences=CaSequence(_zc_rows(used, cfg), cfg), kind="zc", cfg=cfg,
+                  sd_order_bound=0, family_csd=min_csd,
                   meta={"roots": list(roots), "min_csd": min_csd, "members": used})
 
 

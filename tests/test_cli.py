@@ -193,6 +193,52 @@ class TestWriteCsv:
         assert peak < 2 * 2 ** 20
 
 
+def _eta_argv(family48, out):
+    return ["spectrum", "--family", str(family48), "--eta", "--bandwidths", "0.5,1,2",
+            "--out", str(out)]
+
+
+def _factorize_argv(out):
+    return ["factorize", "--n", "288", "--kappa", "5", "--json", "--out", str(out)]
+
+
+class TestRewriteInPlace:
+    @pytest.mark.parametrize("csv_out", [False, True], ids=["json", "csv"])
+    def test_longer_old_file_ends_at_the_new_bytes(self, family48, tmp_path, csv_out):
+        # written over without O_TRUNC, then cut: no byte of the junk survives
+        argv = (lambda out: _eta_argv(family48, out)) if csv_out else _factorize_argv
+        fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+        assert run(argv(fresh)) == 0
+        old.write_bytes(b"junk " * 4096)
+        assert run(argv(old)) == 0
+        assert len(fresh.read_bytes()) < 4 * 4096
+        assert old.read_bytes() == fresh.read_bytes()
+
+    def test_symlinked_out_updates_its_target(self, tmp_path):
+        fresh, target, link = tmp_path / "fresh.json", tmp_path / "target.json", tmp_path / "link"
+        assert run(_factorize_argv(fresh)) == 0
+        target.write_bytes(b"junk " * 4096)
+        link.symlink_to(target)
+        assert run(_factorize_argv(link)) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "link.manifest.json").is_file()
+
+    @pytest.mark.parametrize("via_link", [False, True], ids=["devnull", "link_to_devnull"])
+    def test_no_manifest_beside_a_device(self, tmp_path, via_link):
+        out = tmp_path / "null" if via_link else Path(os.devnull)
+        if via_link:
+            out.symlink_to(os.devnull)
+        manifest = out.with_name(out.name + ".manifest.json")
+        assert not manifest.exists()
+        try:
+            assert run(_factorize_argv(out)) == 0
+            assert not manifest.exists()
+        finally:
+            # a build that still writes it (as root, into /dev) must not leave it behind
+            manifest.unlink(missing_ok=True)
+
+
 class TestSimulate:
     def test_simulate_writes_csv_and_manifest(self, family48, tmp_path, capsys):
         out = tmp_path / "sim.csv"

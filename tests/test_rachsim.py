@@ -117,13 +117,24 @@ class TestClosedForms:
         assert abs(sigma_c - 139.0) < 1e-9
 
 
-# the three tap-sum and noise paths of run_simulation, as (path, J, echoed
+# the tap-sum, noise and leakage paths of run_simulation, as (path, J, echoed
 # leakage, noise and tap_sum)
 _PATHS = pytest.mark.parametrize("path, j, echo", [
     ("product", 138, ("recipe", "white", "product")),
     ("per_tap", 32, ("recipe", "white", "per_tap")),
-    ("coloured", 30, ("dense", "coloured", "per_tap")),
-], ids=["product", "per_tap", "coloured"])
+    ("coloured", 30, ("recipe", "coloured", "per_tap")),
+    ("dense_coloured", 30, ("dense", "coloured", "per_tap")),
+], ids=["product", "per_tap", "coloured", "dense_coloured"])
+
+
+def _path_family(path, zc139, cfg_b139):
+    """pma139 for the white paths, zc139 for the coloured one, and zc139
+    with its recipe stripped for the dense coloured one."""
+    if path == "coloured":
+        return zc139
+    if path == "dense_coloured":
+        return dataclasses.replace(zc139, meta={})
+    return sf.build_family("pma", cfg_b139)
 
 
 class TestRunSimulation:
@@ -213,7 +224,7 @@ class TestRunSimulation:
     def test_row_blocks_change_no_draw(self, zc139, cfg_b139, monkeypatch, path, j, echo):
         # blocks of 5 rows leave a remainder in both batches of BATCH + 904
         # trials; the blocks in turn consume each batch's stream in C order
-        fam = zc139 if path == "coloured" else sf.build_family("pma", cfg_b139)
+        fam = _path_family(path, zc139, cfg_b139)
         cfg = rc.RaSimConfig(family=fam, snr_db_list=[-4.0, 4.0], trials=rc.BATCH + 904,
                              seed=17, profile=rc.ChannelProfile.shipped("umi"),
                              j_sequences=j, p_fa_target=1e-2)
@@ -230,7 +241,7 @@ class TestRunSimulation:
     def test_an_snr_stands_alone(self, zc139, cfg_b139, path, j, echo):
         # every SNR is tallied from the same keyed draws, so the 2 dB entry
         # is the same whichever SNRs are listed with it, and in what order
-        fam = zc139 if path == "coloured" else sf.build_family("pma", cfg_b139)
+        fam = _path_family(path, zc139, cfg_b139)
         entries = []
         for snrs in ([2.0], [-8.0, 2.0, 12.0], [12.0, 2.0]):
             res = rc.run_simulation(rc.RaSimConfig(
@@ -343,10 +354,14 @@ class TestRunSimulation:
 
 class TestCorrelatorModel:
     def test_flat_fading_leakage_is_scaled_gram(self, zc139):
-        # one tap at zero delay: C_0 = sqrt(N) Q Q^H, the same channel on every tone
+        # one tap at zero delay: C_0 = sqrt(N) Q Q^H, the same channel on every tone.
+        # The recipe is stripped so that the variances, like the reference, come
+        # from dense products: the zeros off the root blocks are rounding-level
+        # and agree in rtol only within one arithmetic.
         q = zc139.q_matrix()
         leak = rc._leakage(q, rc.ChannelProfile.flat_fading(), 1250.0)
-        sigma_fie, sigma_c = _sigmas(zc139, np.arange(30), rc.ChannelProfile.flat_fading())
+        sigma_fie, sigma_c = _sigmas(dataclasses.replace(zc139, meta={}), np.arange(30),
+                                     rc.ChannelProfile.flat_fading())
         gram = math.sqrt(139) * q @ q.conj().T
         assert leak.shape == (1, 30, 30)
         assert np.max(np.abs(leak[0] - gram)) <= 1e-12 * math.sqrt(139)
@@ -431,7 +446,7 @@ class TestCorrelatorModel:
         assert np.max(np.abs(gram - np.eye(len(q)))) > 0.08  # not a white set
 
     def test_orthogonal_family_takes_white_path(self, apma139, cfg_b139):
-        # M from the recipe of pma and from the dense Gram of apma
+        # M from the flat recipe of pma and from the zero-delay slice of apma
         pma = sf.build_family("pma", cfg_b139)
         for fam in (pma, apma139):
             tables = rc._leakage_tables(fam, np.arange(len(fam)),
@@ -475,6 +490,8 @@ _A48 = sf.WaveformConfig(48, gamma=2, alpha=Fraction(1, 2))
 _B48 = sf.WaveformConfig(48, gamma=1, alpha=Fraction(33, 256))
 _B139 = sf.WaveformConfig(139, gamma=1, alpha=Fraction(33, 256))
 _B720 = sf.WaveformConfig(720, gamma=1, alpha=Fraction(33, 256))
+_A139 = sf.WaveformConfig(139, gamma=2, alpha=Fraction(1, 2))
+_B839 = sf.WaveformConfig(839, gamma=1, alpha=Fraction(33, 256))
 
 
 class TestLeakageTables:
@@ -499,6 +516,77 @@ class TestLeakageTables:
         dense = rc._leakage(fam.q_matrix()[pick], prof, 1250.0)
         assert np.max(np.abs(tables.table[:, tables.index] - dense)) <= 1e-12 * math.sqrt(fam.n)
         assert tables.colour is None
+
+    @pytest.mark.parametrize("kind, cfg, kappa, parts, count, j, roots", [
+        ("hat_pma", _B139, 0, None, None, None, None),
+        ("hat_dpma", _B139, 1, None, None, None, None),
+        ("apma", _B139, 0, (50, 45, 44), None, None, None),
+        ("apma", _A139, 0, (50, 45, 44), 15, 9, None),
+        ("adpma", _B839, 1, (396, 243, 200), None, None, None),
+        ("adpma", _B839, 1, (396, 243, 200), 60, 40, None),
+        ("zc", _B139, 0, None, 30, None, (1, 2)),
+        ("zc", _B139, 0, None, 40, 25, (1, 2, 3)),
+        ("zc", _B839, 0, None, 64, None, (1, 2)),
+    ], ids=["hat_pma139", "hat_dpma139_k1", "apma139", "apma139_A_count15_subset9",
+            "adpma839_k1", "adpma839_k1_count60_subset40", "zc139", "zc139_3roots_subset25",
+            "zc839"])
+    def test_concatenated_and_zc_tensors_match_dense_leakage(self, kind, cfg, kappa, parts,
+                                                             count, j, roots):
+        # every concatenated kind and multiroot zc, rotated members among the
+        # picks of apma/adpma, count cuts and subsets: the tensor from the
+        # recipe in the dense table form, and the noise colour of its
+        # zero-delay slice, as from dense products
+        decomp = fl.Decomposition.from_parts(cfg.n_seq, parts) if parts else None
+        if kind == "zc":
+            fam = sf.build_family("zc", cfg, count=count, min_csd=9 if cfg.n_seq == 139 else 26,
+                                  roots=roots)
+        else:
+            fam = sf.build_family(kind, cfg, kappa=kappa, decomp=decomp, count=count)
+        pick = rc._subset(fam, j or len(fam), seed=3)
+        prof = rc.ChannelProfile.shipped("umi")
+        tables = rc._leakage_tables(fam, pick, prof, 1250.0)
+        dense = rc._dense_tables(fam.q_matrix()[pick], prof, 1250.0)
+        assert tables.source == "recipe"
+        assert tables.table.shape == dense.table.shape == (len(prof.delays_s), len(pick) ** 2)
+        assert np.array_equal(tables.index, dense.index)
+        assert np.max(np.abs(tables.table - dense.table)) <= 1e-12 * math.sqrt(fam.n)
+        assert (tables.colour is None) == (dense.colour is None) == (kind != "zc")
+        if kind == "zc":
+            assert np.max(np.abs(tables.colour - dense.colour)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, kappa", [("hat_pma", 0), ("hat_dpma", 1), ("apma", 0),
+                                             ("adpma", 1), ("zc", 0)])
+    def test_recipe_kinds_make_no_dense_products(self, kind, kappa, monkeypatch):
+        # the tensor of these kinds comes from their recipe alone
+        if kind == "zc":
+            fam = sf.build_family("zc", _B139, count=30, min_csd=9)
+        else:
+            fam = sf.build_family(kind, _B139, kappa=kappa,
+                                  decomp=fl.Decomposition.from_parts(139, (50, 45, 44)))
+        calls = []
+        leakage = rc._leakage
+        monkeypatch.setattr(rc, "_leakage", lambda *a: calls.append(a) or leakage(*a))
+        res = rc.run_simulation(rc.RaSimConfig(
+            family=fam, snr_db_list=[2.0], trials=200, seed=1,
+            profile=rc.ChannelProfile.shipped("ind"), p_fa_target=1e-2))
+        assert res.config_echo["leakage"] == "recipe"
+        assert calls == []
+
+    @pytest.mark.parametrize("name, swap", [("apma139", (3, 7)), ("apma139", (3, 13)),
+                                            ("zc139", (3, 7)), ("zc139", (3, 18))],
+                             ids=["apma139_base", "apma139_rotated", "zc139_shifts",
+                                  "zc139_roots"])
+    def test_swapped_rows_of_recipe_kinds_refused(self, apma139, zc139, name, swap):
+        # apma139 has 10 base members: rows 3 and 13 are a member and its
+        # rotated copy; zc139 has 15 shifts per root: rows 3 and 18 differ in root
+        fam = {"apma139": apma139, "zc139": zc139}[name]
+        rows = np.arange(len(fam))
+        rows[list(swap)] = rows[list(swap[::-1])]
+        swapped = dataclasses.replace(fam, sequences=fam.sequences[rows])
+        cfg = rc.RaSimConfig(family=swapped, snr_db_list=[0.0], trials=10, seed=1,
+                             profile=rc.ChannelProfile.flat_fading(), p_fa_target=1e-2)
+        with pytest.raises(DomainError, match="recipe"):
+            rc.run_simulation(cfg)
 
     @pytest.mark.parametrize("profile", ["umi", "ind"])
     @pytest.mark.parametrize("j, recipe_sum", [(32, "per_tap"), (138, "product")])
@@ -565,9 +653,19 @@ class TestLeakageTables:
         with pytest.raises(DomainError, match="GiB"):
             rc.run_simulation(cfg)
 
-    def test_coloured_family_echoes_dense_coloured(self, zc139):
+    def test_coloured_family_echoes_recipe_coloured(self, zc139):
         res = rc.run_simulation(rc.RaSimConfig(
             family=zc139, snr_db_list=[0.0], trials=200, seed=1,
+            profile=rc.ChannelProfile.shipped("umi"), p_fa_target=1e-2))
+        echo = res.config_echo
+        assert (echo["leakage"], echo["noise"], echo["tap_sum"]) == ("recipe", "coloured",
+                                                                     "per_tap")
+        assert res.config_echo["table_bytes"] == (8 * 16 + 8) * 30 * 30
+
+    def test_coloured_family_echoes_dense_coloured(self, zc139):
+        # zc139 without its recipe: the dense tensor, in the same table form
+        res = rc.run_simulation(rc.RaSimConfig(
+            family=dataclasses.replace(zc139, meta={}), snr_db_list=[0.0], trials=200, seed=1,
             profile=rc.ChannelProfile.shipped("umi"), p_fa_target=1e-2))
         echo = res.config_echo
         assert (echo["leakage"], echo["noise"], echo["tap_sum"]) == ("dense", "coloured", "per_tap")
