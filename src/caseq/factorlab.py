@@ -362,8 +362,10 @@ def _top_split(n: int, top: int, cap: int, min_parts: int) -> tuple[int, tuple[i
 
 
 @lru_cache(maxsize=8)
-def _omega_table(n: int) -> tuple[int, ...]:
-    """omega(v) for v = 0..n (0 at v < 2), sieved by prime powers."""
+def _omega_table(bits: int) -> tuple[int, ...]:
+    """omega(v) for v < 2^bits (0 at v < 2), sieved by prime powers: one sieve
+    serves every n of bit length bits."""
+    n = (1 << bits) - 1
     omegas = [0] * (n + 1)
     for p in range(2, n + 1):
         if omegas[p] == 0:  # no smaller prime divides p
@@ -385,7 +387,7 @@ def _split(n: int, t: int, cap: int, min_parts: int) -> tuple[int, ...] | None:
     read off greedily: the largest v in any j-part split of s bounds every
     other part of that split, so the parts come out non-increasing.
     """
-    omegas = _omega_table(n)
+    omegas = _omega_table(n.bit_length())
     values = [v for v in range(min(n, cap), 1, -1) if omegas[v] >= t]
     mask = (1 << (n + 1)) - 1
     layers = [1]

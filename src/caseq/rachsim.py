@@ -232,12 +232,14 @@ class _LeakageTables:
 
 
 def _digit_index(factors: Sequence[int], nu: np.ndarray) -> np.ndarray:
-    """Where q_k conj(q_i) reads a `_digit_table`: sum_m ((nu_km - nu_im) mod A_m) phi_m."""
+    """Where q_k conj(q_i) reads a `_digit_table`: sum_m ((nu_km - nu_im) mod A_m) phi_m.
+    A difference of two digits in [1, A_m) lies in (-A_m, A_m), so the mod adds A_m
+    where it is negative."""
     index = np.zeros((len(nu), len(nu)), dtype=np.intp)
     term = np.empty_like(index)
     for col, a, w in zip(nu.T, factors, np.cumprod([1, *factors[:-1]])):
         np.subtract.outer(col, col, out=term)
-        np.mod(term, a, out=term)
+        np.add(term, a, out=term, where=term < 0)
         term *= w
         index += term
     return index
@@ -350,40 +352,42 @@ def _leakage_tables(family: Family, pick: np.ndarray, profile: ChannelProfile,
                           _noise_colour(tensor[0].T / math.sqrt(n)), "recipe")
 
 
-def _variances(tables: _LeakageTables, powers: Sequence[float]) -> tuple[np.ndarray, float]:
-    """The leakage variances the closed forms read.
+def _variances(tables: _LeakageTables,
+               powers: Sequence[float]) -> tuple[np.ndarray, np.ndarray, float]:
+    """The leakage variances the closed forms read, per table column.
 
-    With s = sum_l p_l |table_l|^2, sigma_fie[i, k] = sum_l p_l |C_l[k, i]|^2
-    = s[index[k, i]] with a zero diagonal, and sigma_c = sum_l p_l |C_l[k, k]|^2
-    averaged over k; every k of a constant-amplitude family gives
+    s = sum_l p_l |table_l|^2 holds, for every (k, i) with index[k, i] = w,
+    sigma_fie[i, k] = sum_l p_l |C_l[k, i]|^2 = s[w].  pairs[w] counts the
+    off-diagonal (k, i) that read column w, from one bincount of the index, and
+    sums to J (J - 1).  sigma_c = sum_l p_l |C_l[k, k]|^2 averaged over k; every
+    k of a constant-amplitude family gives
     sigma_c = (1/N) sum_l p_l |sum_n exp(-2j pi df n tau_l)|^2.
     """
     s = np.zeros(tables.table.shape[1])
     for row, p in zip(tables.table, powers):
         s += p * np.abs(row) ** 2
-    sigma_fie = s[tables.index].T
-    np.fill_diagonal(sigma_fie, 0.0)
-    return sigma_fie, float(np.mean(s[np.diagonal(tables.index)]))
+    diagonal = np.diagonal(tables.index)
+    pairs = np.bincount(tables.index.ravel(), minlength=len(s))
+    np.subtract.at(pairs, diagonal, 1)
+    return s, pairs, float(np.mean(s[diagonal]))
 
 
-def _closed_forms(sigma_fie: np.ndarray, sigma_c: float, beta: float,
+def _closed_forms(s: np.ndarray, pairs: np.ndarray, sigma_c: float, beta: float,
                   phi: float) -> dict:
-    """Exact p_fa, p_fid (per requested index and mean) and p_c for the
-    exponential correlator statistics with the given leakage variances."""
-    j = sigma_fie.shape[0]
-    # P(|y_i|^2 > beta) for every i != k at once, in one buffer; column k
-    # averages over i, summed row by row as the buffer is C-ordered whatever
-    # the layout of sigma_fie
-    p_false = np.multiply(sigma_fie, phi, out=np.empty((j, j)))
+    """Exact p_fa, p_fid and p_c for the exponential correlator statistics with
+    the `_variances` s, pairs and sigma_c.
+
+    p_fid is P(|y_i|^2 > beta) = exp(-beta phi / (1 + phi sigma_fie[i, k])) averaged
+    over the J (J - 1) pairs i != k: one exp per column, weighted by its pair
+    count, O(W) per SNR.
+    """
+    p_false = np.multiply(s, phi)
     p_false += 1.0
     np.divide(-beta * phi, p_false, out=p_false)
     np.exp(p_false, out=p_false)
-    np.fill_diagonal(p_false, 0.0)
-    per_k = p_false.sum(axis=0) / (j - 1)
     return {
         "p_fa": math.exp(-beta * phi),
-        "p_fid_per_k": per_k.tolist(),
-        "p_fid": float(np.mean(per_k)),
+        "p_fid": float(pairs @ p_false) / float(pairs.sum()),
         "p_c": math.exp(-beta * phi / (1.0 + phi * sigma_c)),
     }
 
@@ -465,13 +469,14 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
     the identity to 1e-9: the multiply is skipped, and a no-request trial
     draws only |w|^2, a unit-mean exponential, which is a false alarm at an
     SNR when it exceeds beta / sd^2 = beta snr.  The closed forms read the
-    same tables.
+    same tables, as per-column variances and pair counts (`_variances`):
+    O(W) work per SNR, not O(J^2).
 
     Each batch runs its request trials, then its no-request trials, in row
     blocks of max(1, BLOCK // J) trials, about 2^14 complex outputs (256 KiB)
     per block.  Each block forms its tap sum and its noise once, and then
     tallies |y|^2 > beta at each SNR in turn into per-SNR integer counts.
-    Besides the O(L N + J^2) tables and variances, a run holds one block's
+    Besides the O(L N + J^2) tables and O(W) variances, a run holds one block's
     outputs and its batch's k and gains, not b x J arrays.  The tap sum
     depends on the table width W.  For W <= 2J (a recipe family picked at
     J >= N/2) the r x W product of a block's gains and the table is formed
@@ -505,7 +510,7 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             f"{cfg.trials} trials cannot resolve p_fa={cfg.p_fa_target:g}; "
             f"rely on the closed-form column and validate at a relaxed target",
             stacklevel=2)
-    sigma_fie, sigma_c = _variances(tables, cfg.profile.powers)
+    variance, pairs, sigma_c = _variances(tables, cfg.profile.powers)
     colour = tables.colour
     tap_p = np.sqrt(np.asarray(cfg.profile.powers))
     width = tables.table.shape[1]
@@ -567,7 +572,7 @@ def run_simulation(cfg: RaSimConfig) -> RaResult:
             "p_fid": (fid_sum[s] / (t * (j - 1)), math.sqrt(fid_var / t) / (j - 1)),
             "p_c": (c_count[s] / t, wilson_sigma(c_count[s], t)),
         }
-        cf = _closed_forms(sigma_fie, sigma_c, beta, phi)
+        cf = _closed_forms(variance, pairs, sigma_c, beta, phi)
         per_snr.append(RaSnrResult(
             snr_db=snr_db, beta=beta, mc=mc,
             closed_form={m: cf[m] for m in ("p_fa", "p_fid", "p_c")}))

@@ -182,27 +182,39 @@ def _phase_rows(factors: Sequence[int], nus: np.ndarray, cfg: WaveformConfig) ->
     of unity when D is at most the number of entries, and the exp of each
     entry otherwise.  k/D is one correctly rounded division, so any common
     denominator gives the same chi bit for bit; the least one keeps the table
-    small."""
+    small.
+
+    A block of rows forms k from per-digit terms c_jm l for l < A_m, c_jm
+    being digit m's coefficient in row j reduced mod D.  They are added by
+    broadcasting over the digit axes (the slowest digit first, so the last
+    axis is l_0), and the sum, below D sum(A_m), is reduced mod D by one floor
+    division by D.  No level x N digit array is formed: the build holds chi
+    plus one block's numerators and their quotients."""
     weights = list(itertools.accumulate(factors[:-1], operator.mul, initial=1))
     ag, twisted = cfg.alpha_gamma, cfg.condition == "B"
     # phi_m of each twisted digit and 0 for the others, whose reduced denominator is 1
     tw = [w if twisted and m % 2 else 0 for m, w in enumerate(weights)]
     denom = math.lcm(*factors, *(ag.denominator // math.gcd(ag.denominator, w) for w in tw))
-    n_index = np.arange(math.prod(factors))
-    digits = np.array([(n_index // w) % a for w, a in zip(weights, factors)])
-    # numerator coefficient of digit l_m in row j: nu_jm * denom/A_m plus the twist
-    twist = [ag.numerator * w * denom // ag.denominator for w in tw]
-    coef = nus.astype(np.int64) * [denom // a for a in factors] + twist
-    roots = _roots_of_unity(denom) if denom <= len(nus) * len(n_index) else None
-    chi = np.empty((len(nus), len(n_index)), dtype=complex)
-    rows = max(1, 2 ** 16 // len(n_index))  # keeps each block's transients near 1 MiB
+    n = math.prod(factors)
+    # numerator coefficient of digit l_m in row j, nu_jm * denom/A_m plus the twist, mod D
+    twist = [ag.numerator * w * denom // ag.denominator % denom for w in tw]
+    coef = (nus.astype(np.int64) * [denom // a for a in factors] + twist) % denom
+    levels = [np.arange(a) for a in factors]
+    roots = _roots_of_unity(denom) if denom <= len(nus) * n else None
+    chi = np.empty((len(nus), n), dtype=complex)
+    rows = max(1, 2 ** 16 // n)  # keeps each block's transients near 1 MiB
     for lo in range(0, len(nus), rows):
-        numer = coef[lo:lo + rows] @ digits
+        c = coef[lo:lo + rows]
+        numer = c[:, -1, None] * levels[-1]
+        for m in range(len(factors) - 2, -1, -1):
+            term = c[:, m, None] * levels[m]
+            numer = (numer[:, :, None] + term[:, None, :]).reshape(len(c), -1)
+        numer -= numer // denom * denom
         if roots is None:
             chi[lo:lo + rows] = _unit_phases(numer, denom)
         else:
             # the indices lie in [0, D) already, so "clip" only skips the bounds check
-            np.take(roots, np.mod(numer, denom, out=numer), out=chi[lo:lo + rows], mode="clip")
+            np.take(roots, numer, out=chi[lo:lo + rows], mode="clip")
     return chi
 
 
@@ -441,7 +453,8 @@ def _zc_rows(members: Sequence[dict], cfg: WaveformConfig) -> np.ndarray:
     sequence times exp(2j pi s n / N), its phases by s n mod N."""
     n = cfg.n_seq
     bases = {r: build_zc_sequence(r, n, cfg).chi for r in {m["root"] for m in members}}
-    shifts = np.outer([m["cyclic_shift"] for m in members], np.arange(n)) % n
+    shifts = np.outer([m["cyclic_shift"] for m in members], np.arange(n))
+    shifts -= shifts // n * n  # mod n by one floor division
     return np.array([bases[m["root"]] for m in members]) * _roots_of_unity(n)[shifts]
 
 

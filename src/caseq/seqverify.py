@@ -10,7 +10,9 @@ moments by products chi @ P^T with P[beta, n] = n^beta over column blocks of
 amplitude_checks and sd_orders return per-row results, which check_family
 reduces to one report.
 For unit-modulus chi a moment's rounding error is at most about
-N u sum n^beta (u = 2^-53), five orders under MOMENT_RTOL at N <= 1151.
+N u sum n^beta (u = 2^-53), which grows with the N in hand: 1.3e-13 sum n^beta
+at N = 1151, 1.1e-10 at N = 10^6 and 7.5e-9 at the largest admitted N = 2^26,
+only 1.3 times under MOMENT_RTOL = 1e-8.
 """
 
 from __future__ import annotations

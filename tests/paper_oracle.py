@@ -5,7 +5,8 @@ From factorlab's side: the prime-factor count, the family-size ratio f, the
 integer partitions of Omega(n) into weight patterns, fixed-weight codeword
 enumeration, and the codeword conversion that turns weight patterns into
 prime groupings.  From seqforge's side: the G and I single sequences, each
-built on its own from its digit phases, and cyclic-shift subfamilies.
+built on its own from its digit phases, and cyclic-shift subfamilies; and
+the phase rows of a flat family from the full mixed-radix digit array.
 """
 
 from __future__ import annotations
@@ -215,3 +216,18 @@ def cs_subfamily(family: Family, index: int) -> list[tuple[int, CaSequence]]:
     chi = family.sequences[index].chi
     return [(k, CaSequence(chi * _unit_phases(np.arange(n) * k, n), family.cfg))
             for k in range(0, n, step) if k != (a - v0) * step]
+
+
+def phase_rows(factors: Sequence[int], nus: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
+    """chi of every index vector in nus, one row each, from the level x N digit
+    array: the numerators are coef @ digits in int64, over the least common
+    denominator D of seqforge._phase_rows, reduced by % before one exp per entry."""
+    weights = [math.prod(factors[:m]) for m in range(len(factors))]
+    ag, twisted = cfg.alpha_gamma, cfg.condition == "B"
+    tw = [w if twisted and m % 2 else 0 for m, w in enumerate(weights)]
+    denom = math.lcm(*factors, *(ag.denominator // math.gcd(ag.denominator, w) for w in tw))
+    n_index = np.arange(math.prod(factors))
+    digits = np.array([(n_index // w) % a for w, a in zip(weights, factors)])
+    twist = [ag.numerator * w * denom // ag.denominator for w in tw]
+    coef = np.asarray(nus, dtype=np.int64) * [denom // a for a in factors] + twist
+    return _unit_phases(coef @ digits, denom)

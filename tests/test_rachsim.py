@@ -27,14 +27,24 @@ def zc139():
     return sf.build_family("zc", cfg, count=30, min_csd=9)
 
 
+def _table_sigmas(tables, powers):
+    """sigma_fie and sigma_c from the per-column variances s of `_variances`:
+    sigma_fie[i, k] = s[index[k, i]], with a zero diagonal."""
+    s, _, sigma_c = rc._variances(tables, powers)
+    sigma_fie = s[tables.index].T
+    np.fill_diagonal(sigma_fie, 0.0)
+    return sigma_fie, sigma_c
+
+
 def _sigmas(family, pick, profile):
     """sigma_fie and sigma_c of the picked members, from their leakage tables."""
-    return rc._variances(rc._leakage_tables(family, pick, profile, 1250.0), profile.powers)
+    return _table_sigmas(rc._leakage_tables(family, pick, profile, 1250.0), profile.powers)
 
 
 def _closed_form(family, pick, profile, beta, phi):
-    sigma_fie, sigma_c = _sigmas(family, pick, profile)
-    return rc._closed_forms(sigma_fie, sigma_c, beta, phi), sigma_c
+    s, pairs, sigma_c = rc._variances(rc._leakage_tables(family, pick, profile, 1250.0),
+                                      profile.powers)
+    return rc._closed_forms(s, pairs, sigma_c, beta, phi), sigma_c
 
 
 class TestChannelProfile:
@@ -135,6 +145,23 @@ def _path_family(path, zc139, cfg_b139):
     if path == "dense_coloured":
         return dataclasses.replace(zc139, meta={})
     return sf.build_family("pma", cfg_b139)
+
+
+# every table form: the flat recipe with every member and with a seeded
+# subset, the concatenated and multiroot zc recipes, and the dense products
+_TABLE_FORMS = pytest.mark.parametrize("form", [
+    "flat_full", "flat_subset", "concatenated", "zc", "dense"])
+
+
+def _table_form(form, apma139, zc139, cfg_b139):
+    """The family and the picked members of one table form."""
+    if form == "concatenated":
+        return apma139, np.arange(len(apma139))
+    if form in ("zc", "dense"):
+        fam = zc139 if form == "zc" else dataclasses.replace(zc139, meta={})
+        return fam, np.arange(len(fam))
+    fam = sf.build_family("pma", cfg_b139)
+    return fam, rc._subset(fam, len(fam) if form == "flat_full" else 40, seed=11)
 
 
 class TestRunSimulation:
@@ -376,7 +403,7 @@ class TestCorrelatorModel:
         q = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
         prof = rc.ChannelProfile.shipped("umi")
         leak = rc._leakage(q, prof, 1250.0)
-        sigma_fie, sigma_c = rc._variances(rc._dense_tables(q, prof, 1250.0), prof.powers)
+        sigma_fie, sigma_c = _table_sigmas(rc._dense_tables(q, prof, 1250.0), prof.powers)
         assert np.allclose(np.sum(np.abs(leak) ** 2, axis=2), n, rtol=1e-12, atol=0)
         assert np.allclose(sigma_fie.sum(axis=0) + sigma_c, n, rtol=1e-12, atol=0)
 
@@ -407,25 +434,43 @@ class TestCorrelatorModel:
         model = np.tensordot(gains, leak[:, k, :], axes=1) + z @ q.conj().T
         assert np.max(np.abs(model - tones)) <= 1e-12 * np.max(np.abs(tones))
 
-    def test_closed_forms_match_per_pair_loop(self, zc139):
-        # reference: the per-tap cross products and the per-k loop over i != k
+    @_TABLE_FORMS
+    def test_closed_forms_match_per_pair_loop(self, form, apma139, zc139, cfg_b139):
+        # reference: the per-tap cross products of the picked q, and p_fid as the
+        # mean of P(|y_i|^2 > beta) over every pair i != k
+        fam, pick = _table_form(form, apma139, zc139, cfg_b139)
         prof = rc.ChannelProfile.shipped("umi")
-        q = zc139.q_matrix()
+        q = fam.q_matrix()[pick]
         j, n = q.shape
         ref = np.zeros((j, j))
         for delay, p in zip(prof.delays_s, prof.powers):
             ph = np.exp(-2j * np.pi * 1250.0 * delay * np.arange(n))
             ref += p * n * np.abs(q.conj() @ (q * ph).T) ** 2
         np.fill_diagonal(ref, 0.0)
-        sigma_fie, _ = _sigmas(zc139, np.arange(j), prof)
+        sigma_fie, _ = _sigmas(fam, pick, prof)
         assert np.max(np.abs(sigma_fie - ref)) <= 1e-12 * ref.max()
         phi = 10 ** 0.2
         beta = -math.log(1e-2) / phi
-        cf, _ = _closed_form(zc139, np.arange(j), prof, beta, phi)
+        cf, _ = _closed_form(fam, pick, prof, beta, phi)
+        loop = sum(math.exp(-beta * phi / (1.0 + phi * ref[i, k]))
+                   for k in range(j) for i in range(j) if i != k) / (j * (j - 1))
+        assert abs(cf["p_fid"] - loop) <= 1e-12
+
+    @_TABLE_FORMS
+    def test_pair_counts_are_the_off_diagonal_histogram(self, form, apma139, zc139, cfg_b139):
+        fam, pick = _table_form(form, apma139, zc139, cfg_b139)
+        prof = rc.ChannelProfile.shipped("umi")
+        tables = rc._leakage_tables(fam, pick, prof, 1250.0)
+        s, pairs, _ = rc._variances(tables, prof.powers)
+        j = len(pick)
+        hist = np.zeros(tables.table.shape[1], dtype=int)
         for k in range(j):
-            loop = sum(math.exp(-beta * phi / (1.0 + phi * ref[i, k]))
-                       for i in range(j) if i != k) / (j - 1)
-            assert abs(cf["p_fid_per_k"][k] - loop) <= 1e-12
+            for i in range(j):
+                if i != k:
+                    hist[tables.index[k, i]] += 1
+        assert len(pairs) == len(s) == tables.table.shape[1]
+        assert pairs.sum() == j * (j - 1)
+        assert np.array_equal(pairs, hist)
 
     @pytest.mark.parametrize("n, count, min_csd", [(139, 30, 9), (13, 20, 1)])
     def test_coloured_noise_covariance(self, n, count, min_csd):

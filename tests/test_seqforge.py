@@ -489,6 +489,55 @@ class TestRootTable:
             tracemalloc.stop()
         assert peak <= 16 * len(fam) * fam.n + 16 * 839 + 2 * 2 ** 20
 
+    def test_large_build_peak_is_chi_and_one_block(self):
+        """One pma member at N = 2^20 under condition A (20 digits of 2): the
+        build holds chi and one row's numerators and quotients, 16 MiB in all,
+        where a 20 x N int64 digit array alone takes 160 MiB."""
+        cfg = sf.WaveformConfig(n_seq=2 ** 20, gamma=4, alpha=Fraction(1, 4))
+        sf.build_family("pma", cfg, count=1)  # factor set and caches outside the trace
+        tracemalloc.start()
+        try:
+            fam = sf.build_family("pma", cfg, count=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * fam.n + 32 * 2 ** 20
+
+
+class TestPhaseRowsAgainstDigitProduct:
+    """_phase_rows adds per-digit residues and reduces them by a floor division;
+    the oracle forms coef @ digits from the level x N digit array and reduces by
+    %.  chi is the same bit for bit."""
+
+    @pytest.mark.parametrize("cond", [COND_A, COND_B], ids=["A", "B"])
+    @pytest.mark.parametrize("kind, n, kappa, count", [
+        ("pma", 720, 0, None),
+        ("dpma", 720, 2, None),
+        ("pma", 839, 0, None),   # a prime N: D = N
+        ("pma", 1151, 0, None),
+        ("pma", 1155, 0, None),  # B: the twisted digits have the odd weights 11 and 385
+        ("pma", 1155, 0, 255),   # a count cut; under B, D = 256 x 1155 > J x N: exp per entry
+        ("pma", 839, 0, 100),
+    ])
+    def test_flat_family(self, cond, kind, n, kappa, count):
+        cfg = sf.WaveformConfig(n_seq=n, **cond)
+        fam = sf.build_family(kind, cfg, kappa=kappa, count=count)
+        factors = fam.meta["factor_set"]
+        oracle = po.phase_rows(factors, sf._nu_rows(factors, range(len(fam))), cfg)
+        assert fam.chi_matrix().tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("cond", [COND_A, COND_B], ids=["A", "B"])
+    @pytest.mark.parametrize("n, parts", [(839, (396, 243, 200)), (1151, (468, 440, 243))])
+    def test_every_concatenated_part(self, cond, n, parts):
+        # each part's factor set at every degeneracy level of the paper's tables,
+        # with every index vector of its flat family
+        cfg = sf.WaveformConfig(n_seq=n, **cond)
+        for part, kappa in itertools.product(parts, range(4)):
+            factors = fl.factor_set(part, kappa).sorted_descending()
+            nus = sf._nu_rows(factors, range(math.prod(a - 1 for a in factors)))
+            assert (sf._phase_rows(factors, nus, cfg).tobytes()
+                    == po.phase_rows(factors, nus, cfg).tobytes()), (part, kappa)
+
 
 def _shifted_nu(fam, index, shift):
     """Index vector a cyclic shift of member index lands on: the leading
